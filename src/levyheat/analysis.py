@@ -15,7 +15,6 @@ se = 0 and the same rule degenerates to a plain inequality.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -24,11 +23,10 @@ import numpy as np
 from .errors import AllocationLimit, InsufficientRange
 from .levy_kernel import DEFAULT_SPEC, KernelModel, QuadratureSpec, gamma_k, p0_eval
 from .measure_init import FiniteMeasure, heat_convolve_many
-from .noise_field import MAX_CELLS, sample_noise
-from .solver import (MomentTable, SigmaSpec, _check_truncation,
-                     _det_rows_shared, _probe_indices, _propagators,
-                     _seed_chunks, _thread_map, _worker_count, _x_centers,
-                     pam_second_moment_oracle)
+from .noise_field import MAX_CELLS
+from .solver import (MomentTable, SigmaSpec, build_lattice, check_truncation,
+                     growth_envelope, march_seeds, pam_second_moment_oracle,
+                     seed_ids, step_numbers, x_centers)
 
 __all__ = [
     "BoundVerdict", "ModulusStat", "NOT_APPLICABLE",
@@ -107,18 +105,6 @@ def _alpha_of(model: KernelModel) -> float:
     raise ValueError("scaling analysis needs a brownian or stable kernel")
 
 
-def _data_radius(u0: FiniteMeasure) -> float:
-    if math.isfinite(u0.support_radius):
-        return float(u0.support_radius)
-    return max((abs(y) for y, _ in u0.atoms), default=0.0)
-
-
-def _seed_ids(seeds) -> list[int]:
-    if isinstance(seeds, (int, np.integer)):
-        return list(range(int(seeds)))
-    return [int(s) for s in seeds]
-
-
 # ---------------------------------------------------------------------------
 # Ensemble helper: full field rows at probe times, one slab per seed.
 # ---------------------------------------------------------------------------
@@ -129,58 +115,27 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
     """March every seed and keep the whole lattice row at each probe time.
 
     Returns (x_nodes, rows) with rows of shape (n_seeds, n_probes, nx) in
-    seed-list order.  Same stepping as mc_moments (first step
-    deterministic, noise row 0 idle), but the reduction keeps rows instead
-    of power sums, for sup-over-x statistics that need per-seed fields.
+    seed-list order.  The solver's march with an observer that keeps rows
+    instead of power sums, for sup-over-x statistics that need per-seed
+    fields.
     """
-    seed_list = _seed_ids(seeds)
-    dx = 2.0 * half_width / nx
-    t_idx = _probe_indices(t_probes, dt, "t probe")
-    steps = max(t_idx)
-    x_nodes = _x_centers(nx, dx)
-    if batch * steps * nx > max_cells or \
-            len(seed_list) * len(t_idx) * nx > max_cells:
+    seed_list = seed_ids(seeds)
+    t_idx = step_numbers(t_probes, dt, "t probe")
+    if len(seed_list) * len(t_idx) * nx > max_cells:
         raise AllocationLimit("ensemble row buffer exceeds the budget")
-    if p0_eval(model, dt, spec) * dx > 0.5:
-        warnings.warn("refinement relation violated: p_dt(0) dx > 0.5",
-                      stacklevel=3)
-    _check_truncation(model, u0, float(np.max(t_probes)), half_width, spec)
-
-    times = dt * np.arange(1, steps + 1)
-    det = _det_rows_shared(model, u0, times, x_nodes, spec)
-    p, k0 = _propagators(model, dt, dx, nx)
-    probe_at = {i: slot for slot, i in enumerate(t_idx)}
+    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
+                        times=dt * np.arange(1, max(t_idx) + 1), spec=spec)
+    probe_at = {i - 1: slot for slot, i in enumerate(t_idx)}
     rows = np.empty((len(seed_list), len(t_idx), nx))
 
-    offsets = {}
-    pos = 0
-    chunks = _seed_chunks(seed_list, batch)
-    for c in chunks:
-        offsets[id(c)] = pos
-        pos += len(c)
+    def keep(first, j, u, v):
+        slot = probe_at.get(j)
+        if slot is not None:
+            rows[first:first + u.shape[0], slot] = u[:, 0]
 
-    def run_chunk(chunk):
-        off = offsets[id(chunk)]
-        b = len(chunk)
-        w = np.empty((b, steps, nx))
-        for i, s in enumerate(chunk):
-            w[i] = sample_noise(dt, dx, steps, nx, s,
-                                max_cells=max_cells).increments
-        v = np.zeros((b, nx))
-        u = np.broadcast_to(det[0], (b, nx)).copy()
-        if 1 in probe_at:
-            rows[off:off + b, probe_at[1]] = u
-        for j in range(1, steps):
-            shot = sigma.apply(u) * w[:, j, :]
-            v = v @ p + shot @ k0
-            u = det[j] + v
-            slot = probe_at.get(j + 1)
-            if slot is not None:
-                rows[off:off + b, slot] = u
-        return None
-
-    _thread_map(run_chunk, chunks, _worker_count(threads))
-    return x_nodes, rows
+    march_seeds(lat, sigma, seed_list, keep, batch=batch, threads=threads,
+                max_cells=max_cells)
+    return lat.x_nodes, rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +159,8 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
 
     Rows whose shape factor alone exceeds vacuous_factor are listed under
     metadata["vacuous"]: near t -> 0+ the envelope diverges for measure
-    data and the comparison says nothing about the growth rate.  The
+    data and the comparison says nothing about the growth rate.  So are
+    rows whose envelope exceeds the float range; their bound is +inf.  The
     verdict row (lhs, rhs, std_error) is the verification row with the
     worst margin lhs - rhs - 3 se, so the pass flag for the whole grid
     coincides with the flag for that row.
@@ -228,7 +184,8 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
         pt0 = p0_eval(model, float(tv), spec)
         ptu = heat_convolve_many(model, u0, float(tv), x[rows], spec)
         shape_pow[rows] = (1.0 + pt0 * np.maximum(ptu, 0.0)) ** (0.5 * k)
-        envelope[rows] = math.exp((1.0 + eps) * gam * tv) * shape_pow[rows]
+        envelope[rows] = growth_envelope((1.0 + eps) * gam * tv,
+                                         shape_pow[rows])
 
     # train on every other time slice plus both endpoints: the
     # moment-to-envelope ratio is monotone at each end of the range
@@ -250,14 +207,17 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     c_pow_k = float(np.max(np.maximum(raw[train], 0.0) / envelope[train]))
     c_eps = c_pow_k ** (1.0 / k) if c_pow_k > 0 else 0.0
 
-    rhs = c_pow_k * envelope
+    # an envelope past the float range is +inf, and so is its bound
+    finite = np.isfinite(envelope)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.where(finite, c_pow_k * envelope, np.inf)
     margin = raw - rhs - 3.0 * raw_se
     vi = np.flatnonzero(verify)
     worst = vi[int(np.argmax(margin[vi]))]
     failures = [(float(t[i]), float(x[i]), float(k))
                 for i in vi if margin[i] > 0]
-    vacuous = [(float(t[i]), float(x[i]))
-               for i in vi if shape_pow[i] >= vacuous_factor]
+    vacuous = [(float(t[i]), float(x[i])) for i in vi
+               if shape_pow[i] >= vacuous_factor or not finite[i]]
 
     meta = {
         "c_eps": c_eps, "k": float(k), "eps": float(eps), "lip": float(lip),
@@ -285,7 +245,7 @@ def _scan_grid(u0, scale: float, width_scales: float = 12.0,
                points_per_scale: float = 60.0, max_points: int = 20001
                ) -> np.ndarray:
     """Symmetric odd grid resolving the kernel scale around the support."""
-    window = _data_radius(u0) + width_scales * scale
+    window = u0.data_radius + width_scales * scale
     n = int(math.ceil(2.0 * window * points_per_scale / scale)) + 1
     n = min(n | 1, max_points)
     return np.linspace(-window, window, n)
@@ -338,7 +298,7 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
             dt = t_min / 32.0
         scale = (model.kappa * t_max) ** (1.0 / alpha)
         if half_width is None:
-            half_width = _data_radius(u0) + 10.0 * scale
+            half_width = u0.data_radius + 10.0 * scale
         if nx is None:
             dx_cap = 0.5 / p0_eval(model, dt, spec)
             nx = int(math.ceil(2.0 * half_width / dx_cap))
@@ -467,15 +427,15 @@ def nochaos_sup_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         raise ValueError("window half-widths must be positive")
     alpha = _alpha_of(model)
     if pad is None:
-        pad = _data_radius(u0) + 10.0 * (model.kappa * t) ** (1.0 / alpha)
+        pad = u0.data_radius + 10.0 * (model.kappa * t) ** (1.0 / alpha)
 
     half = max(Ls) + pad
     nx = 2 * int(math.ceil(half / dx)) + 1
     half_width = 0.5 * nx * dx
-    x_nodes = _x_centers(nx, dx)
+    x_nodes = x_centers(nx, dx)
     if sigma.lip == 0.0:
-        _check_truncation(model, u0, t, half_width, spec)
-        row = heat_convolve_many(model, u0, t, x_nodes, spec)
+        check_truncation(model, u0, t, half_width, spec)
+        rows = heat_convolve_many(model, u0, t, x_nodes, spec)[None, None]
     else:
         _, rows = _ensemble_rows(
             model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
@@ -485,10 +445,7 @@ def nochaos_sup_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     out = np.empty(len(Ls))
     for li, L in enumerate(Ls):
         win = np.abs(x_nodes) <= L + 1e-9 * dx
-        if sigma.lip == 0.0:
-            out[li] = float(np.max(row[win]))
-        else:
-            out[li] = float(np.median(np.max(rows[:, 0, win], axis=1)))
+        out[li] = float(np.median(np.max(rows[:, 0, win], axis=1)))
     return out
 
 

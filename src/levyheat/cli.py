@@ -41,14 +41,14 @@ import jsonschema
 from referencing import Registry, Resource
 
 from . import __version__
-from .analysis import BoundVerdict, check_exist_unique_bound, _ensemble_rows
+from .analysis import BoundVerdict, check_exist_unique_bound
 from .errors import ConfigInvalid, DivergentResolvent, LevyHeatError
-from .levy_kernel import (DEFAULT_SPEC, KernelModel, brownian,
-                          kernel_functionals, stable, tabulated)
+from .levy_kernel import (KernelModel, brownian, kernel_functionals, stable,
+                          tabulated)
 from .measure_init import (FiniteMeasure, delta,
                            make_positive_definite_example, measure_from_json)
-from .solver import (SigmaSpec, _det_rows_shared, _x_centers, mc_moments,
-                     sigma_custom, sigma_linear, sigma_saturating)
+from .solver import (SigmaSpec, mc_moments, sigma_custom, sigma_linear,
+                     sigma_saturating, step_numbers)
 
 __all__ = [
     "ExperimentConfig", "load_experiment_config", "run", "kernel_info",
@@ -197,12 +197,17 @@ def _grid_cells(grid: dict) -> int:
     return nx
 
 
+def _lattice_steps(values, dt: float, name: str) -> list:
+    """Step numbers of times that must be positive multiples of dt."""
+    try:
+        return step_numbers(values, dt, name)
+    except ValueError as exc:
+        raise ConfigInvalid(_one_line(exc)) from exc
+
+
 def _derived_t_probes(grid: dict) -> list:
     """Up to eight probe times, multiples of dt, last one exactly t_end."""
-    steps = int(round(grid["t_end"] / grid["dt"]))
-    rel = abs(steps * grid["dt"] - grid["t_end"])
-    if steps < 1 or rel > 1e-9 * max(grid["t_end"], grid["dt"]):
-        raise ConfigInvalid("grid: t_end must be a positive multiple of dt")
+    steps = _lattice_steps(grid["t_end"], grid["dt"], "grid: t_end")[0]
     n = min(8, steps)
     idx = sorted({max(1, round(steps * j / n)) for j in range(1, n + 1)})
     return [i * grid["dt"] for i in idx]
@@ -241,19 +246,12 @@ def _mean_identity_check(model, u0, sigma, table, cfg) -> BoundVerdict:
         raise ValueError("mean_identity needs k=1 rows")
     t, x = table.t[sel], table.x[sel]
     est, se = table.estimate[sel], table.std_error[sel]
-    grid = cfg.grid
-    nx = _grid_cells(grid)
-    x_nodes = _x_centers(nx, 2.0 * grid["L"] / nx)
-    # Bitwise the same det rows the march added: one shared-rule batch
-    # over every step time, not just the probe times.
-    steps = int(round(grid["t_end"] / grid["dt"]))
-    times = grid["dt"] * np.arange(1, steps + 1)
-    det = _det_rows_shared(model, u0, times, x_nodes, DEFAULT_SPEC)
+    lat = table.lattice  # the very rows the march added
     ptu = np.empty_like(est)
     for tv in np.unique(t):
         m = t == tv
-        cols = [int(np.argmin(np.abs(x_nodes - xv))) for xv in x[m]]
-        ptu[m] = det[int(round(tv / grid["dt"])) - 1, cols]
+        cols = [int(np.argmin(np.abs(lat.x_nodes - xv))) for xv in x[m]]
+        ptu[m] = lat.det[0, int(round(tv / lat.dt)) - 1, cols]
     diff = est - ptu
     w = int(np.argmax(np.abs(diff) - 3.0 * se))
     meta = {"n_rows": int(sel.sum()), "max_abs_diff": float(np.abs(diff).max()),
@@ -431,11 +429,14 @@ def _kernel_cmd(json_text: str) -> int:
         val = doc.get(key)
         if val is not None and (not isinstance(val, list) or not val):
             raise ConfigInvalid(f"{key} must be a non-empty list of numbers")
-    out = kernel_info(doc["kernel"],
-                      beta_list=doc.get("beta", [1.0]),
-                      k_list=doc.get("k", [2.0]),
-                      a_list=doc.get("a", [1.0]),
-                      lip=doc.get("lip", 1.0))
+    try:  # every input here is the user's, so a bad value is the config's
+        out = kernel_info(doc["kernel"],
+                          beta_list=doc.get("beta", [1.0]),
+                          k_list=doc.get("k", [2.0]),
+                          a_list=doc.get("a", [1.0]),
+                          lip=doc.get("lip", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"kernel command: {_one_line(exc)}") from exc
     print(json.dumps(out))
     return EXIT_OK
 
@@ -455,14 +456,17 @@ def simulate(config_path) -> int:
     t_probes = out.get("t_probes", snap_times)
     x_probes = out.get("x_probes", [0.0])
     ks = out.get("ks", [1.0, 2.0])
+    steps = _lattice_steps(grid["t_end"], grid["dt"], "t_end")[0]
+    _lattice_steps(snap_times, grid["dt"], "snapshot time")
+    if max(_lattice_steps(t_probes, grid["dt"], "t probe")) > steps:
+        raise ConfigInvalid("outputs: t_probes must not exceed t_end")
 
-    x_nodes, fields = _ensemble_rows(
-        model, u0, sigma, dt=grid["dt"], nx=nx, half_width=grid["L"],
-        t_probes=snap_times, seeds=seeds)
+    # one march serves both outputs, to max(t_end, last snapshot time)
     table = mc_moments(
         model, u0, sigma, dt=grid["dt"], nx=nx, half_width=grid["L"],
         t_end=grid["t_end"], seed_list=seeds, t_probes=t_probes,
-        x_probes=x_probes, ks=ks)
+        x_probes=x_probes, ks=ks, snapshot_times=snap_times)
+    x_nodes, fields = table.lattice.x_nodes, table.snapshots
 
     outdir = Path(out["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -554,9 +558,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigInvalid as exc:
-        print(f"levyheat: invalid config: {_one_line(exc)}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"levyheat: invalid config: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

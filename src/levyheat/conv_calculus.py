@@ -271,7 +271,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
     alpha = model.alpha if model.kind == "stable" else 2.0
     if x_halfwidth is None:
         scale = (model.kappa * t_max) ** (1.0 / alpha)
-        x_halfwidth = float(np.abs(x_values).max()) + u0.support_radius \
+        x_halfwidth = float(np.abs(x_values).max()) + u0.data_radius \
             + max(10.0, 24.0 * scale)
     if nx is None:
         t_min = float(t_values.min())

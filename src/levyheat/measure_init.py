@@ -83,6 +83,14 @@ class FiniteMeasure:
                 if np.any(self.density_values[outside] != 0.0):
                     raise ValueError("density nonzero outside the declared support radius")
 
+    @property
+    def data_radius(self) -> float:
+        """Radius of the data about the origin: support_radius when finite,
+        else the largest atom distance."""
+        if math.isfinite(self.support_radius):
+            return float(self.support_radius)
+        return max((abs(y) for y, _ in self.atoms), default=0.0)
+
     def _compute_mass(self) -> float:
         mass = sum(m for _, m in self.atoms)
         if self.density_grid is not None:
@@ -118,9 +126,7 @@ def heat_convolve_many(model: KernelModel, u0: FiniteMeasure, t: float, xs,
         raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     cutoff = spec.cutoff_xi or _cutoff_for(model, t, spec.tol)
-    k = u0.support_radius if math.isfinite(u0.support_radius) else \
-        max((abs(y) for y, _ in u0.atoms), default=0.0)
-    osc = float(np.abs(xs).max()) + k
+    osc = float(np.abs(xs).max()) + u0.data_radius
     nodes, weights = _xi_rule(cutoff, osc, spec)
     damp = weights * np.exp(-t * psi_eval(model, nodes))
     u0_hat = fourier_u0(u0, nodes)
@@ -150,9 +156,7 @@ def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts, xs,
     if np.any(ts <= 0):
         raise ValueError("times must be positive")
     cutoff = spec.cutoff_xi or _cutoff_for(model, float(ts.min()), spec.tol)
-    k = u0.support_radius if math.isfinite(u0.support_radius) else \
-        max((abs(y) for y, _ in u0.atoms), default=0.0)
-    osc = float(np.abs(xs).max()) + k
+    osc = float(np.abs(xs).max()) + u0.data_radius
     nodes, weights = _xi_rule(cutoff, osc, spec)
     damp = np.exp(-np.multiply.outer(ts, psi_eval(model, nodes)))
     damp = damp * (weights * fourier_u0(u0, nodes))

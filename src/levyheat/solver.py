@@ -8,7 +8,10 @@ Two routes to the same object:
 * ``evolve`` marches the per-step mild recursion
   u_{t+dt} = p_dt * u_t + int_t^{t+dt} p_{t+dt-s}(y-x) sigma(u) dW.
 
-Both use band-limited kernel rows on the lattice, so the one-step
+Every time-step march (evolve, mc_moments, stability_compare and the
+ensembles of the analysis layer) is the one loop in ``march``, on a
+``Lattice`` set up by ``build_lattice``.  Both routes use band-limited
+kernel rows on the lattice, so the one-step
 propagator is an exact lattice semigroup and the unrolled time-step weights
 coincide with the Picard weights up to float roundoff and edge truncation
 (see ``bandlimited_rows``).
@@ -29,6 +32,7 @@ Conventions shared by every marching routine here:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -56,7 +60,10 @@ from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
 
 __all__ = [
     "SigmaSpec", "sigma_linear", "sigma_saturating", "sigma_custom",
-    "FieldLattice", "MomentTable", "MomentRow", "StabilityRow",
+    "FieldLattice", "MomentTable", "MomentRow", "StabilityRow", "Lattice",
+    "build_lattice", "march", "march_seeds", "seed_ids", "step_numbers",
+    "x_centers",
+    "check_truncation", "growth_envelope",
     "picard_iterate", "evolve", "pam_second_moment_oracle",
     "stability_compare", "stability_bound", "positivity_scan", "mc_moments",
 ]
@@ -206,7 +213,9 @@ class MomentTable:
     exp((1+eps) gamma(k') t / k') sqrt(1 + p_t(0) (p_t*u0)(x)) with
     k' = max(k, 2) and the pinned eps; it omits the calibration constant
     C_eps, which the analysis layer fits, and dominates the k-norm because
-    norms are monotone in k.
+    norms are monotone in k; past the float range it is +inf.  lattice is
+    the Lattice the paths were marched on; snapshots, if asked for, holds
+    each path's rows at the snapshot times, shape (seeds, times, nx).
     """
 
     t: np.ndarray
@@ -220,6 +229,9 @@ class MomentTable:
     raw_std_error: np.ndarray
     replicas: int
     eps_growth: float = EPS_GROWTH
+    lattice: Lattice | None = field(default=None, repr=False, compare=False)
+    snapshots: np.ndarray | None = field(default=None, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         n = self.t.size
@@ -227,9 +239,10 @@ class MomentTable:
                      "bound_h1", "raw_moment", "raw_std_error"):
             if getattr(self, name).shape != (n,):
                 raise ValueError("moment table columns must be aligned 1-d")
-        if not (np.all(np.isfinite(self.bound_exist_unique))
-                and np.all(np.isfinite(self.bound_h1))):
-            raise ValueError("bounds must be finite")
+        if not (np.all(self.bound_exist_unique >= 0)
+                and np.all(self.bound_h1 >= 0)):
+            raise ValueError("bounds must be nonnegative (+inf when "
+                             "vacuous), not NaN")
         if np.any(self.std_error < 0) or np.any(self.raw_std_error < 0):
             raise ValueError("standard errors must be nonnegative")
 
@@ -241,22 +254,20 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# Lattice operator assembly.
+# Lattice setup.
 # ---------------------------------------------------------------------------
 
-def _x_centers(nx: int, dx: float) -> np.ndarray:
+def x_centers(nx: int, dx: float) -> np.ndarray:
     half = 0.5 * nx * dx
     return -half + (np.arange(nx) + 0.5) * dx
 
 
-def _support_radius(u0: FiniteMeasure) -> float:
-    if math.isfinite(u0.support_radius):
-        return u0.support_radius
-    return max((abs(y) for y, _ in u0.atoms), default=0.0)
-
-
-def _check_truncation(model, u0, t_end, half_width, spec) -> float:
-    k = _support_radius(u0)
+def check_truncation(model: KernelModel, u0: FiniteMeasure, t_end: float,
+                     half_width: float,
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Kernel mass leaving [-half_width, half_width] by t_end; raises
+    TruncationTooSmall past TRUNCATION_TOL or when the data sticks out."""
+    k = u0.data_radius
     if half_width <= k:
         raise TruncationTooSmall(
             f"lattice half-width {half_width:g} does not cover the initial "
@@ -267,26 +278,6 @@ def _check_truncation(model, u0, t_end, half_width, spec) -> float:
             f"kernel mass {frac:.3e} outside the lattice at t={t_end:g} "
             f"exceeds {TRUNCATION_TOL:g}; widen the window")
     return frac
-
-
-def _det_rows(model, u0, times, x_nodes, spec) -> np.ndarray:
-    """(p_t * u0)(x) rows, clamped at 0 against quadrature dust.
-
-    Per-time quadrature rules, so a row's value never depends on which
-    other rows were requested alongside it; evolve needs that for
-    bit-exact restarts.  Statistical paths use _det_rows_shared instead.
-    """
-    rows = np.empty((len(times), x_nodes.size))
-    for i, t in enumerate(times):
-        rows[i] = np.maximum(heat_convolve_many(model, u0, t, x_nodes, spec),
-                             0.0)
-    return rows
-
-
-def _det_rows_shared(model, u0, times, x_nodes, spec) -> np.ndarray:
-    """Batched variant of _det_rows; one xi rule shared across the rows."""
-    return np.maximum(heat_convolve_rows(model, u0, times, x_nodes, spec),
-                      0.0)
 
 
 def _propagators(model, dt, dx, nx):
@@ -320,17 +311,147 @@ def _scheme_drift(det, p) -> float:
     return max(worst, floor)
 
 
-def _steps_for(t_span: float, dt: float) -> int:
-    m = int(round(t_span / dt))
-    if m < 1 or abs(m * dt - t_span) > 1e-9 * max(dt, abs(t_span)):
-        raise ValueError(
-            f"time span {t_span:g} is not a positive multiple of dt={dt:g}")
-    return m
+def step_numbers(values, dt: float, name: str) -> list[int]:
+    """Step numbers i >= 1 with i dt equal to each value, else ValueError."""
+    out = []
+    for v in np.atleast_1d(np.asarray(values, dtype=float)):
+        i = int(round(v / dt))
+        if i < 1 or abs(i * dt - v) > 1e-9 * max(dt, abs(v)):
+            raise ValueError(f"{name} {v:g} is not a positive multiple "
+                             f"of {dt:g}")
+        out.append(i)
+    return out
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """What a march needs besides the noise: the cell centers, the exact
+    deterministic rows det[s, i] = (p_t * u0), clamped at 0, at t = i-th
+    step time + s-th shift (the rows of the start p_shift * u0), the
+    one-step propagators p and k0, and the kernel mass outside the window
+    at the last step time."""
+
+    dt: float
+    dx: float
+    x_nodes: np.ndarray = field(repr=False)
+    det: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    k0: np.ndarray = field(repr=False)
+    exterior_mass_frac: float = 0.0
+
+
+def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
+                  dx: float, nx: int, times, shifts=(0.0,),
+                  per_time_rows: bool = False,
+                  spec: QuadratureSpec = DEFAULT_SPEC) -> Lattice:
+    """The Lattice of nx cells of width dx for steps at times (an array),
+    with one start p_s * u0 per shift s.
+
+    Warns when the refinement relation p_dt(0) dx <= 0.5 fails; runs
+    check_truncation at the last time.  The det rows of a start share one
+    xi rule unless per_time_rows, which makes each row independent of the
+    other times requested, as bit-exact restarts need.
+    """
+    if p0_eval(model, dt, spec) * dx > 0.5:
+        warnings.warn(
+            "refinement relation violated: p_dt(0) dx > 0.5; one-step "
+            "variance amplification is no longer controlled", stacklevel=3)
+    ext = check_truncation(model, u0, float(times[-1]), 0.5 * nx * dx, spec)
+    x_nodes = x_centers(nx, dx)
+    if per_time_rows:
+        det = [[heat_convolve_many(model, u0, t + s, x_nodes, spec)
+                for t in times] for s in shifts]
+    else:
+        det = [heat_convolve_rows(model, u0, times + s, x_nodes, spec)
+               for s in shifts]
+    det = np.maximum(det, 0.0)  # quadrature dust below 0
+    p, k0 = _propagators(model, dt, dx, nx)
+    return Lattice(dt, dx, x_nodes, det, p, k0, ext)
 
 
 # ---------------------------------------------------------------------------
 # Time stepping.
 # ---------------------------------------------------------------------------
+
+def march(lat: Lattice, sigma: SigmaSpec, noise: np.ndarray, observe, *,
+          state=None) -> None:
+    """The one time-step loop: v <- v P + (sigma(u) W_j) K0, u = det_j + v.
+
+    The batch is (b, c, nx): b seeds, whose increments noise[:, j] (noise
+    is (b, steps, nx)) drive step j, by the c starts of lat, which share
+    that noise.  observe(j, u, v) gets the field and its noise part, both
+    (b, c, nx), after step j.  A fresh march starts at lat.det[:, 0] and
+    never reads noise row 0; state = (v, u) continues an earlier march
+    from rows 0 on.
+    """
+    c, steps, nx = lat.det.shape
+    b = noise.shape[0]
+    if state is None:
+        v = np.zeros((b * c, nx))
+        u = np.broadcast_to(lat.det[:, 0], (b, c, nx)).copy()
+        observe(0, u, v.reshape(b, c, nx))
+    else:
+        v = np.reshape(state[0], (b * c, nx))
+        u = np.reshape(state[1], (b, c, nx))
+    for j in range(1 if state is None else 0, steps):
+        shot = sigma.apply(u) * noise[:, None, j]
+        v = v @ lat.p + shot.reshape(b * c, nx) @ lat.k0
+        u = lat.det[:, j] + v.reshape(b, c, nx)
+        observe(j, u, v.reshape(b, c, nx))
+
+
+def _worker_count(requested: int | None) -> int:
+    if requested is not None:
+        return max(1, int(requested))
+    env = os.environ.get("LEVYHEAT_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError("LEVYHEAT_THREADS must be an integer, not "
+                             f"{env!r}") from None
+    return min(8, os.cpu_count() or 1)
+
+
+def _thread_map(fn, chunks, threads):
+    if threads <= 1 or len(chunks) <= 1:
+        return [fn(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [ex.submit(fn, c) for c in chunks]
+        return [f.result() for f in futures]  # chunk order, not finish order
+
+
+def seed_ids(seeds) -> list[int]:
+    """Seeds as a list of ints; an int n stands for 0..n-1."""
+    if isinstance(seeds, (int, np.integer)):
+        return list(range(int(seeds)))
+    return [int(s) for s in seeds]
+
+
+def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe, *,
+                batch: int = 24, threads: int | None = None,
+                max_cells: int = MAX_CELLS) -> None:
+    """march() every seed, batch seeds per chunk, the chunks over threads.
+
+    observe(first, j, u, v) is march's observer, also told the position
+    in seeds of the chunk's first seed.  Chunks run concurrently, so it
+    may write only to slots of its own chunk.
+    """
+    seeds = list(seeds)
+    steps, nx = lat.det.shape[1:]
+    if batch * steps * nx > max_cells:
+        raise AllocationLimit("seed chunk exceeds the allocation budget")
+
+    def chunk(first):
+        part = seeds[first:first + batch]
+        noise = np.empty((len(part), steps, nx))
+        for i, s in enumerate(part):
+            noise[i] = sample_noise(lat.dt, lat.dx, steps, nx, s,
+                                    max_cells=max_cells).increments
+        march(lat, sigma, noise, functools.partial(observe, first))
+
+    _thread_map(chunk, range(0, len(seeds), batch), _worker_count(threads))
+
 
 def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
            noise: NoiseLattice, t_end: float, *,
@@ -347,74 +468,47 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     Restart-equivalence then holds bit-exactly.
     """
     dt, dx, nx = noise.dt, noise.dx, noise.nx
-    x_nodes = _x_centers(nx, dx)
-    half = 0.5 * nx * dx
-
-    if from_field is None:
-        t_start = 0.0
-        v = np.zeros(nx)
-    else:
+    t_start, state = 0.0, None
+    if from_field is not None:
         if from_field.scheme != "timestep" or from_field.noise_part is None:
             raise ValueError("can only continue a timestep field that "
                              "carries its noise part")
         g = from_field.grid
-        if not (np.allclose(g.x_nodes, x_nodes)
+        if not (np.allclose(g.x_nodes, x_centers(nx, dx))
                 and math.isclose(from_field.dt, dt, rel_tol=1e-12)):
             raise GridMismatch("continuation lattice must match the field")
         t_start = float(g.t_nodes[-1])
-        v = from_field.noise_part[-1].copy()
+        state = (from_field.noise_part[-1], g.values[-1])
 
-    m = _steps_for(t_end - t_start, dt)
+    m = step_numbers(t_end - t_start, dt, "time span")[0]
     if m > noise.nt:
         raise ValueError(f"noise lattice has {noise.nt} rows, need {m}")
     if 3 * (m + 1) * nx > max_cells:
         raise AllocationLimit(
             f"field of {m} x {nx} cells exceeds the allocation budget")
 
-    if p0_eval(model, dt, spec) * dx > 0.5:
-        warnings.warn(
-            "refinement relation violated: p_dt(0) dx > 0.5; one-step "
-            "variance amplification is no longer controlled", stacklevel=2)
-    ext = _check_truncation(model, u0, t_end, half, spec)
-
     # rebuild times as global step multiples: t_start + dt*j rounds
     # differently from dt*(j0+j) at some steps, and a restart must
     # reproduce the fresh run's deterministic rows bit for bit
     j0 = int(round(t_start / dt))
     if abs(j0 * dt - t_start) <= 1e-9 * max(dt, abs(t_start)):
-        times = dt * np.arange(j0, j0 + m + 1)
+        times = dt * np.arange(j0 + 1, j0 + m + 1)
     else:
-        times = t_start + dt * np.arange(0, m + 1)
-    det = _det_rows(model, u0, times[1:], x_nodes, spec)  # rows at steps 1..m
-    p, k0 = _propagators(model, dt, dx, nx)
-    eps_num = 10.0 * _scheme_drift(det, p)
-
-    w = noise.increments
+        times = t_start + dt * np.arange(1, m + 1)
+    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, times=times,
+                        per_time_rows=True, spec=spec)
     vals = np.empty((m, nx))
     vpart = np.empty((m, nx))
-    if from_field is None:
-        # first step deterministic; sigma(u0) is not defined for a measure
-        vals[0] = det[0]
-        vpart[0] = v
-        u_prev = vals[0]
-        row0 = 1  # global step index of the first consumed noise row
-        start = 1
-    else:
-        u_prev = from_field.grid.values[-1]
-        row0 = 0
-        start = 0
 
-    for j in range(start, m):
-        shot = sigma.apply(u_prev) * w[row0 + j - start]
-        v = v @ p + shot @ k0
-        vpart[j] = v
-        vals[j] = det[j] + v
-        u_prev = vals[j]
+    def keep(j, u, v):
+        vals[j], vpart[j] = u[0, 0], v[0, 0]
 
-    grid = SpaceTimeGrid(times[1:], x_nodes, vals)
-    return FieldLattice(grid=grid, scheme="timestep", seed=noise.seed,
-                        truncation_L=half, dt=dt, noise_part=vpart,
-                        eps_num=eps_num, exterior_mass_frac=ext)
+    march(lat, sigma, noise.increments[None], keep, state=state)
+    return FieldLattice(grid=SpaceTimeGrid(times, lat.x_nodes, vals),
+                        scheme="timestep", seed=noise.seed,
+                        truncation_L=0.5 * nx * dx, dt=dt, noise_part=vpart,
+                        eps_num=10.0 * _scheme_drift(lat.det[0], lat.p),
+                        exterior_mass_frac=lat.exterior_mass_frac)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +567,9 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     if 4 * (nt + 1) * nx > max_cells:
         raise AllocationLimit("Picard stage exceeds the allocation budget")
 
-    x_nodes = _x_centers(nx, dx)
+    x_nodes = x_centers(nx, dx)
     half = 0.5 * nx * dx
-    ext = _check_truncation(model, u0, horizon, half, spec)
+    ext = check_truncation(model, u0, horizon, half, spec)
     times = dt * np.arange(1, nt + 1)
 
     if n == 0:
@@ -484,7 +578,7 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                             truncation_L=half, dt=dt, picard_order=0,
                             exterior_mass_frac=ext)
 
-    det = _det_rows_shared(model, u0, times, x_nodes, spec)
+    det = np.maximum(heat_convolve_rows(model, u0, times, x_nodes, spec), 0.0)
     cur = np.zeros((nt, nx))
     if nt == 1:
         cur = det.copy()
@@ -527,7 +621,8 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec) -> np.ndarray:
     nt, nx = t_nodes.size, x_nodes.size
     dt = float(t_nodes[0])
     dx = float(x_nodes[1] - x_nodes[0]) if nx > 1 else 1.0
-    det = _det_rows_shared(model, u0, t_nodes, x_nodes, spec)
+    det = np.maximum(heat_convolve_rows(model, u0, t_nodes, x_nodes, spec),
+                     0.0)
     f = det ** 2
     if nt == 1 or lam == 0.0:
         return f
@@ -587,7 +682,7 @@ def _oracle_continuum(model, u0, lam, t_targets, x_out, spec,
     scale = (model.kappa * t_max) ** (1.0 / alpha)
     # tail buffer: 24 diffusion lengths, with a wide floor for heavy tails
     # that relaxes when the horizon itself is tiny
-    halfw = float(np.abs(x_out).max()) + _support_radius(u0) \
+    halfw = float(np.abs(x_out).max()) + u0.data_radius \
         + max(min(10.0, 100.0 * scale), 24.0 * scale)
     dx_cap = (model.kappa * t_min / 4.0) ** (1.0 / alpha) / 3.0
     nx_i = 2 * max(512, int(math.ceil(halfw / dx_cap))) + 1
@@ -695,44 +790,23 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
 # Monte Carlo ensembles.
 # ---------------------------------------------------------------------------
 
-def _worker_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("LEVYHEAT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _thread_map(fn, chunks, threads):
-    if threads <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fn, c) for c in chunks]
-        return [f.result() for f in futures]  # chunk order, not finish order
-
-
-def _seed_chunks(seeds, batch):
-    seeds = list(seeds)
-    return [seeds[i:i + batch] for i in range(0, len(seeds), batch)]
-
-
-def _probe_indices(values, step, name):
-    out = []
-    for v in np.atleast_1d(np.asarray(values, dtype=float)):
-        i = int(round(v / step))
-        if i < 1 or abs(i * step - v) > 1e-9 * max(step, abs(v)):
-            raise ValueError(f"{name} {v:g} is not a positive multiple "
-                             f"of {step:g}")
-        out.append(i)
-    return out
+def growth_envelope(exponent: float, shape):
+    """exp(exponent) * shape for shape factors >= 1; +inf, a vacuous
+    bound, past the float range, which is tested on the log scale."""
+    if exponent > _LOG_FLOAT_MAX:
+        return np.full(np.shape(shape), np.inf)
+    with np.errstate(over="ignore"):
+        return math.exp(exponent) * np.asarray(shape, dtype=float)
 
 
 def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
                dt: float, nx: int, half_width: float, t_end: float,
                n_seeds: int | None = None, t_probes, x_probes, ks=(1, 2),
-               seed0: int = 0, seed_list=None, batch: int = 24,
-               threads: int | None = None,
+               seed0: int = 0, seed_list=None, snapshot_times=(),
+               batch: int = 24, threads: int | None = None,
                spec: QuadratureSpec = DEFAULT_SPEC,
                max_cells: int = MAX_CELLS) -> MomentTable:
     """Ensemble moment estimates at probe points, with theory columns.
@@ -743,7 +817,9 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     x probes snap to the nearest cell center and the snapped coordinate is
     what lands in the table.  Replicas run in parallel over seed chunks;
     the reduction is in fixed chunk order, so results do not depend on
-    the thread count.
+    the thread count.  snapshot_times also keeps every path's whole row
+    at those times, from the same march (table.snapshots); the march then
+    runs to the later of t_end and the last snapshot time.
     """
     if (n_seeds is None) == (seed_list is None):
         raise ValueError("give exactly one of n_seeds or seed_list")
@@ -751,65 +827,48 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
              else [int(s) for s in seed_list])
     if not seeds:
         raise ValueError("need at least one seed")
-    dx = 2.0 * half_width / nx
-    steps = _steps_for(t_end, dt)
-    x_nodes = _x_centers(nx, dx)
-    t_idx = _probe_indices(t_probes, dt, "t probe")
+    steps = step_numbers(t_end, dt, "t_end")[0]
+    t_idx = step_numbers(t_probes, dt, "t probe")
     if max(t_idx) > steps:
         raise ValueError("t probe beyond t_end")
-    cols = [int(np.argmin(np.abs(x_nodes - xp)))
-            for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
+    snap_idx = step_numbers(snapshot_times, dt, "snapshot time")
+    if len(seeds) * len(snap_idx) * nx > max_cells:
+        raise AllocationLimit("snapshot buffer exceeds the budget")
     ks = [float(kv) for kv in np.atleast_1d(ks)]
     if any(kv < 1 for kv in ks):
         raise ValueError("moment orders must be >= 1")
-    if batch * steps * nx > max_cells:
-        raise AllocationLimit("seed chunk exceeds the allocation budget")
 
-    if p0_eval(model, dt, spec) * dx > 0.5:
-        warnings.warn("refinement relation violated: p_dt(0) dx > 0.5",
-                      stacklevel=2)
-    _check_truncation(model, u0, t_end, half_width, spec)
-
-    times = dt * np.arange(1, steps + 1)
-    det = _det_rows_shared(model, u0, times, x_nodes, spec)
-    p, k0 = _propagators(model, dt, dx, nx)
-    probe_at = {i: slot for slot, i in enumerate(t_idx)}
+    steps = max([steps] + snap_idx)
+    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
+                        times=dt * np.arange(1, steps + 1), spec=spec)
+    x_nodes = lat.x_nodes
+    cols = [int(np.argmin(np.abs(x_nodes - xp)))
+            for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
     n_pt, n_px, n_k = len(t_idx), len(cols), len(ks)
+    probe_at = {i - 1: slot for slot, i in enumerate(t_idx)}
+    snap_at = {i - 1: slot for slot, i in enumerate(snap_idx)}
+    # power sums of |u|^k and |u|^2k, one slot per seed chunk, summed in
+    # chunk order below
+    sums = np.zeros((-(-len(seeds) // batch), 2, n_pt, n_px, n_k))
+    snaps = np.empty((len(seeds), len(snap_idx), nx))
 
-    def run_chunk(seed_list):
-        b = len(seed_list)
-        w = np.empty((b, steps, nx))
-        for i, s in enumerate(seed_list):
-            w[i] = sample_noise(dt, dx, steps, nx, s,
-                                max_cells=max_cells).increments
-        s1 = np.zeros((n_pt, n_px, n_k))
-        s2 = np.zeros((n_pt, n_px, n_k))
-        v = np.zeros((b, nx))
-        u = np.broadcast_to(det[0], (b, nx)).copy()
+    def collect(first, j, u, v):
+        slot = snap_at.get(j)
+        if slot is not None:
+            snaps[first:first + u.shape[0], slot] = u[:, 0]
+        slot = probe_at.get(j)
+        if slot is None:
+            return
+        vals = u[:, 0][:, cols]
+        chunk = first // batch
+        for kpos, kv in enumerate(ks):
+            a = vals if kv == 1 else np.abs(vals) ** kv
+            sums[chunk, 0, slot, :, kpos] += a.sum(axis=0)
+            sums[chunk, 1, slot, :, kpos] += (a * a).sum(axis=0)
 
-        def collect(step_i, u_now):
-            slot = probe_at.get(step_i)
-            if slot is None:
-                return
-            vals = u_now[:, cols]
-            for kpos, kv in enumerate(ks):
-                a = vals if kv == 1 else np.abs(vals) ** kv
-                s1[slot, :, kpos] += a.sum(axis=0)
-                s2[slot, :, kpos] += (a * a).sum(axis=0)
-
-        collect(1, u)
-        for j in range(1, steps):
-            shot = sigma.apply(u) * w[:, j, :]
-            v = v @ p + shot @ k0
-            u = det[j] + v
-            collect(j + 1, u)
-        return s1, s2
-
-    threads = _worker_count(threads)
-    chunks = _seed_chunks(seeds, batch)
-    parts = _thread_map(run_chunk, chunks, threads)
-    s1 = np.sum(np.stack([p1 for p1, _ in parts]), axis=0)
-    s2 = np.sum(np.stack([p2 for _, p2 in parts]), axis=0)
+    march_seeds(lat, sigma, seeds, collect, batch=batch, threads=threads,
+                max_cells=max_cells)
+    s1, s2 = np.sum(sums, axis=0)
 
     n = float(len(seeds))
     m1 = s1 / n
@@ -848,8 +907,9 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
                 rows_k.append(kv)
                 est.append(e)
                 se.append(de)
-                b_eu.append(math.exp((1.0 + EPS_GROWTH) * gam[kv] * t / kk)
-                            * math.sqrt(1.0 + shape))
+                b_eu.append(float(growth_envelope(
+                    (1.0 + EPS_GROWTH) * gam[kv] * t / kk,
+                    math.sqrt(1.0 + shape))))
                 b_h1.append(4.0 * math.sqrt(kk) * max(1.0, sigma.lip)
                             * math.sqrt(mass * shape))
                 rawm.append(m)
@@ -860,7 +920,8 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
         estimate=np.array(est), std_error=np.array(se),
         bound_exist_unique=np.array(b_eu), bound_h1=np.array(b_h1),
         raw_moment=np.array(rawm), raw_std_error=np.array(rawse),
-        replicas=len(seeds))
+        replicas=len(seeds), lattice=lat,
+        snapshots=snaps if snap_idx else None)
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +1000,8 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
                       max_cells: int = MAX_CELLS) -> list[StabilityRow]:
     """Distance between the solution and its mollified-start version.
 
-    For each eps, runs the pair (u from u0, U from p_eps * u0) coupled on
-    the same noise per seed, and estimates
+    Marches u from u0 and, for every eps, U from p_eps * u0, all coupled
+    on the same noise per seed, and estimates
 
         int_0^T e^{-beta t} dt int dx E |u_t(x) - U_t(x)|^2
 
@@ -962,63 +1023,34 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     eps_arr = [float(e) for e in np.atleast_1d(eps_list)]
     if any(e < 0 for e in eps_arr):
         raise ValueError("eps values must be nonnegative")
-    if isinstance(seeds, (int, np.integer)):
-        seed_list = list(range(int(seeds)))
-    else:
-        seed_list = [int(s) for s in seeds]
+    if not eps_arr:
+        return []
+    seed_list = seed_ids(seeds)
 
-    dx = 2.0 * half_width / nx
-    steps = _steps_for(t_max, dt)
-    x_nodes = _x_centers(nx, dx)
-    _check_truncation(model, u0, t_max, half_width, spec)
-    if batch * steps * nx > max_cells:
-        raise AllocationLimit("seed chunk exceeds the allocation budget")
-
+    steps = step_numbers(t_max, dt, "t_max")[0]
     times = dt * np.arange(1, steps + 1)
-    det_u = _det_rows_shared(model, u0, times, x_nodes, spec)
-    p, k0 = _propagators(model, dt, dx, nx)
+    # start 0 is u0, start 1 + e is p_eps * u0 for the e-th eps
+    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
+                        times=times, shifts=[0.0] + eps_arr, spec=spec)
     decay = np.exp(-beta * times)
-    threads = _worker_count(threads)
-    mass = u0.total_mass
+    dist = np.zeros((len(eps_arr), len(seed_list)))
+    last = np.zeros_like(dist)
 
-    out = []
-    for eps in eps_arr:
-        det_e = _det_rows_shared(model, u0, times + eps, x_nodes, spec)
+    def accumulate(first, j, u, v):
+        sq = ((u[:, :1] - u[:, 1:]) ** 2).sum(axis=2).T
+        dist[:, first:first + sq.shape[1]] += decay[j] * sq
+        if j == steps - 1:
+            last[:, first:first + sq.shape[1]] = sq
 
-        def run_chunk(chunk, det_e=det_e):
-            b = len(chunk)
-            w = np.empty((b, steps, nx))
-            for i, s in enumerate(chunk):
-                w[i] = sample_noise(dt, dx, steps, nx, s,
-                                    max_cells=max_cells).increments
-            vu = np.zeros((b, nx))
-            ve = np.zeros((b, nx))
-            uu = np.broadcast_to(det_u[0], (b, nx)).copy()
-            ue = np.broadcast_to(det_e[0], (b, nx)).copy()
-            dist = decay[0] * ((uu - ue) ** 2).sum(axis=1)
-            for j in range(1, steps):
-                wj = w[:, j, :]
-                vu = vu @ p + (sigma.apply(uu) * wj) @ k0
-                ve = ve @ p + (sigma.apply(ue) * wj) @ k0
-                uu = det_u[j] + vu
-                ue = det_e[j] + ve
-                dist += decay[j] * ((uu - ue) ** 2).sum(axis=1)
-            last = ((uu - ue) ** 2).sum(axis=1)
-            return dist * dt * dx, last * dx
-
-        parts = _thread_map(run_chunk, _seed_chunks(seed_list, batch),
-                            threads)
-        dists = np.concatenate([d for d, _ in parts])
-        lasts = np.concatenate([l for _, l in parts])
-        n = dists.size
-        mean = float(dists.mean())
-        se = float(dists.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        tail = math.exp(-beta * t_max) * float(lasts.mean()) / beta
-        out.append(StabilityRow(eps=eps, distance=mean, std_error=se,
-                                bound=stability_bound(model, mass, eps, beta,
-                                                      spec),
-                                tail_bound=tail))
-    return out
+    march_seeds(lat, sigma, seed_list, accumulate, batch=batch,
+                threads=threads, max_cells=max_cells)
+    n = len(seed_list)
+    return [StabilityRow(
+        eps=eps, distance=float(d.mean()),
+        std_error=float(d.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        bound=stability_bound(model, u0.total_mass, eps, beta, spec),
+        tail_bound=math.exp(-beta * t_max) * float(l.mean()) / beta)
+        for eps, d, l in zip(eps_arr, dist * dt * lat.dx, last * lat.dx)]
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,18 @@ class TestExistUniqueBound:
         # endpoints are fitted, not held out
         assert {0.1, 0.5} <= train
 
+    def test_long_horizon_bound_is_vacuous_not_overflow(self):
+        # exp((1 + eps) gamma_4 t) leaves the float range at t = 16
+        with pytest.warns(UserWarning, match="refinement"):
+            tab = mc_moments(brownian(), delta(), sigma_linear(1), dt=0.25,
+                             nx=160, half_width=80, t_end=16, ks=(4,),
+                             n_seeds=2, t_probes=[16.0], x_probes=[0.0])
+        assert np.all(np.isinf(tab.bound_exist_unique))
+        v = check_exist_unique_bound(tab, BM, U0, 4.0, 0.1, lip=1.0)
+        assert not math.isnan(v.lhs) and not math.isnan(v.rhs)
+        assert v.passed and v.rhs == math.inf
+        assert v.metadata["vacuous"] == [(16.0, float(tab.x[0]))]
+
     def test_verdict_row_is_worst_margin(self):
         ts = np.array([0.1, 0.2, 0.3])
         xs = np.array([0.0])

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from levyheat import ConfigInvalid, brownian, delta, mc_moments, sigma_linear
+from levyheat import (ConfigInvalid, brownian, delta, mc_moments,
+                      sample_noise, sigma_linear)
 from levyheat import cli
 from levyheat.cli import (BoundVerdict, kernel_info, load_experiment_config,
                           main)
@@ -105,6 +106,9 @@ class TestKernelInfo:
         res = run_cli("kernel", "{oops")
         assert res.returncode == 64
         res = run_cli("kernel", '{"kernel": {"kind": "brownian"}, "k": []}')
+        assert res.returncode == 64
+        res = run_cli("kernel",
+                      '{"kernel": {"kind": "brownian"}, "beta": [-1]}')
         assert res.returncode == 64
 
 
@@ -262,6 +266,14 @@ class TestRunCommand:
         verdicts = read_csv(Path(doc["output_dir"]) / "verdicts.csv")
         assert verdicts[0]["pass"] == "false"
 
+    def test_non_integer_thread_count_exits_1(self, tmp_path):
+        path, _ = small_config(tmp_path, seeds=[0, 1],
+                               claims=["mean_identity"])
+        res = run_cli("run", str(path),
+                      env_extra={"LEVYHEAT_THREADS": "abc"})
+        assert res.returncode == 1
+        assert "LEVYHEAT_THREADS" in res.stderr
+
     def test_usage_error_exits_64(self):
         assert run_cli("frobnicate").returncode == 64
         assert run_cli("run").returncode == 64
@@ -353,6 +365,46 @@ class TestSimulateCommand:
             tmp_path, outputs={"dir": str(tmp_path / "sim"),
                                "snapshot_times": [0.105]})
         assert run_cli("simulate", str(path)).returncode == 64
+
+    def test_probe_beyond_t_end_exits_64(self, tmp_path):
+        path, _ = self.sim_config(
+            tmp_path, outputs={"dir": str(tmp_path / "sim"),
+                               "snapshot_times": [0.1],
+                               "t_probes": [0.4]})
+        assert run_cli("simulate", str(path)).returncode == 64
+
+    def test_one_march_serves_snapshots_and_moments(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_noise(*args, **kwargs)
+
+        # every levyheat namespace that binds the sampler counts
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "levyheat" and \
+                    getattr(mod, "sample_noise", None) is sample_noise:
+                monkeypatch.setattr(mod, "sample_noise", counted)
+        # the last snapshot lies past t_end: the march runs to it
+        path, doc = self.sim_config(
+            tmp_path, sigma={"kind": "linear", "lam": 1.0},
+            outputs={"dir": str(tmp_path / "sim"),
+                     "snapshot_times": [0.1, 0.3], "t_probes": [0.1, 0.2],
+                     "ks": [1]}, t_end=0.2)
+        assert main(["simulate", str(path)]) == 0
+        assert len(calls) == len(doc["seeds"])
+        out = Path(doc["outputs"]["dir"])
+        snaps = read_csv(out / "snapshots.csv")
+        assert {float(r["t"]) for r in snaps} == {0.1, 0.3}
+        # moments at a snapshot time are the snapshot rows' means
+        moments = read_csv(out / "moments.csv")
+        row = next(r for r in moments if float(r["t"]) == 0.1)
+        col = [float(r["u"]) for r in snaps if float(r["t"]) == 0.1
+               and float(r["x"]) == float(row["x"])]
+        assert len(col) == len(doc["seeds"])
+        assert abs(float(row["raw_moment"]) - np.mean(col)) \
+            <= 1e-12 * abs(np.mean(col))
 
     def test_schema_rejects_missing_outputs(self, tmp_path):
         path, doc = self.sim_config(tmp_path)

@@ -1,0 +1,41 @@
+"""Module layering: no module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+import levyheat
+
+PACKAGE = Path(levyheat.__file__).resolve().parent
+GUARDED = ("solver", "analysis")
+
+
+def private_imports(path):
+    """(line, module, name) of each underscore name imported from a
+    guarded module, by relative or absolute import, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        module = node.module.rsplit(".", 1)[-1]
+        if module not in GUARDED:
+            continue
+        if node.level == 0 and not node.module.startswith("levyheat."):
+            continue
+        found += [(node.lineno, module, alias.name) for alias in node.names
+                  if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_imports_from_solver_or_analysis():
+    offenders = {p.name: private_imports(p)
+                 for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_checker_sees_private_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .solver import _thread_map, mc_moments\n"
+                   "def f():\n"
+                   "    from levyheat.analysis import _ensemble_rows\n")
+    assert private_imports(src) == [(1, "solver", "_thread_map"),
+                                    (3, "analysis", "_ensemble_rows")]
