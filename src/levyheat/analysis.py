@@ -26,7 +26,7 @@ from .measure_init import FiniteMeasure, heat_convolve_many
 from .noise_field import MAX_CELLS
 from .solver import (MomentTable, SigmaSpec, build_lattice, check_truncation,
                      growth_envelope, march_seeds, pam_second_moment_oracle,
-                     seed_ids, step_numbers, x_centers)
+                     seed_ids, step_numbers, step_slots, x_centers)
 
 __all__ = [
     "BoundVerdict", "ModulusStat", "NOT_APPLICABLE",
@@ -125,12 +125,11 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
         raise AllocationLimit("ensemble row buffer exceeds the budget")
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
                         times=dt * np.arange(1, max(t_idx) + 1), spec=spec)
-    probe_at = {i - 1: slot for slot, i in enumerate(t_idx)}
+    probe_at = step_slots(t_idx)
     rows = np.empty((len(seed_list), len(t_idx), nx))
 
     def keep(first, j, u, v):
-        slot = probe_at.get(j)
-        if slot is not None:
+        for slot in probe_at.get(j, ()):
             rows[first:first + u.shape[0], slot] = u[:, 0]
 
     march_seeds(lat, sigma, seed_list, keep, batch=batch, threads=threads,

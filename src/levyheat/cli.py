@@ -43,8 +43,8 @@ from referencing import Registry, Resource
 from . import __version__
 from .analysis import BoundVerdict, check_exist_unique_bound
 from .errors import ConfigInvalid, DivergentResolvent, LevyHeatError
-from .levy_kernel import (KernelModel, brownian, kernel_functionals, stable,
-                          tabulated)
+from .levy_kernel import (KernelModel, brownian, frak_T, g_eval, gamma_k,
+                          stable, tabulated, theta_estimate, upsilon_eval)
 from .measure_init import (FiniteMeasure, delta,
                            make_positive_definite_example, measure_from_json)
 from .solver import (SigmaSpec, mc_moments, sigma_custom, sigma_linear,
@@ -406,13 +406,15 @@ def kernel_info(kernel_doc: dict, beta_list=(1.0,), k_list=(2.0,),
     """
     try:
         model = build_kernel(kernel_doc)
-        f = kernel_functionals(model, lip=float(lip))
+        lip = float(lip)
+        theta = theta_estimate(model)
         return {
-            "theta": f.theta,
-            "upsilon": [f.upsilon(float(b)) for b in beta_list],
-            "gamma": [f.gamma(float(k)) for k in k_list],
-            "g": [f.g(float(a)) for a in a_list],
-            "frak_T": [f.horizon(float(k)) for k in k_list],
+            "theta": theta,
+            "upsilon": [upsilon_eval(model, float(b)) for b in beta_list],
+            "gamma": [gamma_k(model, float(k), lip) for k in k_list],
+            "g": [g_eval(model, float(a)) for a in a_list],
+            "frak_T": [frak_T(model, float(k), lip, theta=theta)
+                       for k in k_list],
         }
     except DivergentResolvent as exc:
         return {"error": "divergent resolvent", "detail": _one_line(exc)}

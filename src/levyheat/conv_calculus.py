@@ -9,6 +9,14 @@ power grading of theta handles the stronger stable-law singularities.
 Rows narrower than the lattice spacing (the kernel squared at tiny times)
 cannot be sampled pointwise; below the resolvable time they are replaced by
 mass-correct lattice spikes, which is exact in the convolution limit.
+
+``st_convolve`` is the one theta-rule loop over table rows.  Each table row
+is transformed once (rfft, zero-padded to the linear-convolution length);
+linear interpolation in t commutes with the transform, so the theta nodes
+are summed in Fourier space and each output row costs one irfft.  With a
+``feedback`` coefficient the same loop marches the Volterra equation
+out = f (*) (g + feedback * out) causally, which is how the continuum
+second-moment oracle solves its renewal equation.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridMismatch
 from .levy_kernel import (
@@ -65,14 +73,22 @@ class SpaceTimeGrid:
 
     def row_at(self, t: float) -> np.ndarray:
         """Row at time t by linear interpolation, clamped at the ends."""
-        ts = self.t_nodes
-        if t <= ts[0]:
-            return self.values[0]
-        if t >= ts[-1]:
-            return self.values[-1]
-        j = int(np.searchsorted(ts, t))
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * self.values[j - 1] + w * self.values[j]
+        return _interp_rows(self.t_nodes, self.values, t)
+
+
+def _interp_rows(t_nodes: np.ndarray, rows: np.ndarray, s,
+                limit: int | None = None) -> np.ndarray:
+    """rows[:limit] at time(s) s, linear in t and clamped at both ends.
+
+    A scalar s gives one row, an array of times one row per time.
+    """
+    top = (t_nodes.size if limit is None else limit) - 1
+    if top == 0:
+        return np.broadcast_to(rows[0], np.shape(s) + rows.shape[1:])
+    s = np.clip(s, t_nodes[0], t_nodes[top])
+    j = np.clip(np.searchsorted(t_nodes, s) - 1, 0, top - 1)
+    c = np.asarray((s - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j]))[..., None]
+    return (1.0 - c) * rows[j] + c * rows[j + 1]
 
 
 def graded_times(t_max: float, n: int = 96, grade: float = 4.0,
@@ -88,9 +104,10 @@ def graded_times(t_max: float, n: int = 96, grade: float = 4.0,
 def _theta_rule(n_half: int = 48):
     """Nodes/weights for int_0^t H(s) ds under s = t sin^2(theta).
 
-    Returns (theta, w) with int_0^t H ds = t * sum w_i sin(2 theta_i)
-    H(t sin^2 theta_i). Each half of [0, pi/2] is graded quadratically
-    toward its endpoint so stable-law endpoint singularities stay mild.
+    Returns (s_frac, w) with int_0^t H ds = t * sum w_i H(t s_frac_i),
+    s_frac = sin^2(theta_i) and w already carrying the sin(2 theta_i)
+    Jacobian. Each half of [0, pi/2] is graded quadratically toward its
+    endpoint so stable-law endpoint singularities stay mild.
     """
     z, w = _gauss_rule(n_half)
     v = 0.5 * (z + 1.0)
@@ -99,7 +116,27 @@ def _theta_rule(n_half: int = 48):
     w_lo = wv * 0.5 * math.pi * v
     theta = np.concatenate([th_lo, math.pi / 2.0 - th_lo[::-1]])
     weights = np.concatenate([w_lo, w_lo[::-1]])
-    return theta, weights
+    return np.sin(theta) ** 2, weights * np.sin(2.0 * theta)
+
+
+def _window_nodes(model: KernelModel, u0: FiniteMeasure, t_values,
+                  x_values) -> np.ndarray:
+    """Uniform x nodes of a Volterra table that serves the (t, x) probes.
+
+    The half-width adds to the farthest probe and the data radius a tail
+    buffer of 24 diffusion lengths, with a wide floor for heavy tails that
+    relaxes when the horizon itself is tiny.  The spacing keeps the
+    smallest probe time well above the resolvable time; otherwise output
+    rows degenerate to spikes.
+    """
+    alpha = model.alpha if model.kind == "stable" else 2.0
+    scale = (model.kappa * float(np.max(t_values))) ** (1.0 / alpha)
+    halfw = float(np.abs(x_values).max()) + u0.data_radius \
+        + max(min(10.0, 100.0 * scale), 24.0 * scale)
+    dx_cap = (model.kappa * float(np.min(t_values)) / 4.0) ** (1.0 / alpha) \
+        / 3.0
+    nx = 2 * max(512, math.ceil(halfw / dx_cap)) + 1
+    return np.linspace(-halfw, halfw, nx)
 
 
 def _resolvable_time(model: KernelModel, dx: float) -> float:
@@ -186,37 +223,51 @@ def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
 
 
 def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid,
-                n_theta_half: int = 48) -> SpaceTimeGrid:
-    """Discretized (f (*) g) on the shared grid of f and g."""
+                feedback: float = 0.0) -> SpaceTimeGrid:
+    """Discretized out = f (*) (g + feedback * out) on the grid of f and g.
+
+    feedback = 0 is the plain convolution f (*) g.  Otherwise the rows are
+    marched causally: row i sees out only up to the last finished row,
+    clamped there (row 0 while i <= 1); a graded mesh keeps the kernel
+    mass of that not-yet-computed sliver small.  Every row of f, g and out
+    is transformed once; interpolation in t and the theta-node sum happen
+    on the spectra, and the "same"-size centre of one irfft per row is the
+    output row, clipped at 0.
+    """
     if not (np.array_equal(f.t_nodes, g.t_nodes)
             and np.array_equal(f.x_nodes, g.x_nodes)):
         raise GridMismatch("st_convolve needs f and g on the same grid")
     if np.any(f.values < 0) or np.any(g.values < 0):
         raise ValueError("st_convolve is defined for nonnegative inputs")
-    theta, wq = _theta_rule(n_theta_half)
-    sin2 = np.sin(theta) ** 2
-    ds_w = wq * np.sin(2.0 * theta)
+    s_frac, wts = _theta_rule()
+    ts = f.t_nodes
+    nx = f.x_nodes.size
+    n_fft = next_fast_len(2 * nx - 1, real=True)
+    lo = (nx - 1) // 2
+    fhat = rfft(f.values, n_fft, axis=1)
+    ghat = rfft(g.values, n_fft, axis=1)
+    outhat = np.zeros_like(ghat)
     out = np.empty_like(f.values)
-    for i, t in enumerate(f.t_nodes):
-        acc = np.zeros(f.x_nodes.size)
-        for s_frac, w in zip(sin2, ds_w):
-            s = t * s_frac
-            row_f = f.row_at(t - s)
-            row_g = g.row_at(s)
-            acc += w * fftconvolve(row_f, row_g, mode="same")
-        out[i] = acc * (t * f.dx)
-    return SpaceTimeGrid(f.t_nodes, f.x_nodes, np.maximum(out, 0.0))
+    for i, t in enumerate(ts):
+        s = t * s_frac
+        src = _interp_rows(ts, ghat, s)
+        if feedback:
+            src = src + feedback * _interp_rows(ts, outhat, s, max(i, 1))
+        acc = wts @ (_interp_rows(ts, fhat, t - s) * src)
+        out[i] = np.maximum(irfft(acc, n_fft)[lo:lo + nx] * (t * f.dx), 0.0)
+        if feedback:
+            outhat[i] = rfft(out[i], n_fft)
+    return SpaceTimeGrid(ts, f.x_nodes, out)
 
 
 def time_convolve_at_origin(model: KernelModel, t: float,
                             n_theta_half: int = 64,
                             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """int_0^t p_{t-s}(0) p_s(0) ds with exact density evaluations."""
-    theta, wq = _theta_rule(n_theta_half)
-    sin2 = np.sin(theta) ** 2
+    s_frac, wts = _theta_rule(n_theta_half)
     vals = np.array([p0_eval(model, t * (1.0 - sf), spec)
-                     * p0_eval(model, t * sf, spec) for sf in sin2])
-    return float(t * np.sum(wq * np.sin(2.0 * theta) * vals))
+                     * p0_eval(model, t * sf, spec) for sf in s_frac])
+    return float(t * np.sum(wts * vals))
 
 
 def check_lemma_pp(model: KernelModel, t: float, theta: float | None = None,
@@ -250,35 +301,22 @@ def nfold_kernel_squared(model: KernelModel, n: int, t_targets, x_nodes,
 
 def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
                            t_values, x_values, theta: float | None = None,
-                           x_halfwidth: float | None = None,
-                           nx: int | None = None,
                            spec: QuadratureSpec = DEFAULT_SPEC):
     """(lhs, rhs) arrays of shape (n_levels, len(t_values), len(x_values)).
 
     Level n holds the n-fold (p^2 (*) ... (*) p^2 (*) (p_. * u0)^2)_t(x)
     and the bound u0(R) (2 theta int_0^t p_s(0) ds)^n p_t(0) (p_t*u0)(x).
     One shared graded table serves every requested (t, x) pair, so the
-    cost is n_levels convolution passes regardless of how many pairs.
-    The lattice spacing is sized so the smallest target time stays well
-    above the resolvable time; otherwise output rows degenerate to spikes.
+    cost is n_levels convolution passes regardless of how many pairs;
+    its x window is the second-moment oracle's.
     """
     if not 1 <= n_levels <= 4:
         raise ValueError("nested convolutions are supported for n in 1..4")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     th = theta_estimate(model, spec=spec) if theta is None else theta
-    t_max = float(t_values.max())
-    alpha = model.alpha if model.kind == "stable" else 2.0
-    if x_halfwidth is None:
-        scale = (model.kappa * t_max) ** (1.0 / alpha)
-        x_halfwidth = float(np.abs(x_values).max()) + u0.data_radius \
-            + max(10.0, 24.0 * scale)
-    if nx is None:
-        t_min = float(t_values.min())
-        dx_cap = (model.kappa * t_min / 4.0) ** (1.0 / alpha) / 3.0
-        nx = 2 * max(512, math.ceil(x_halfwidth / dx_cap)) + 1
-    x_nodes = np.linspace(-x_halfwidth, x_halfwidth, nx)
-    t_table = graded_times(t_max, include=t_values)
+    x_nodes = _window_nodes(model, u0, t_values, x_values)
+    t_table = graded_times(float(t_values.max()), include=t_values)
     seed = smoothed_squared_grid(model, u0, t_table, x_nodes, spec)
     kern = kernel_squared_grid(model, t_table, x_nodes, spec)
     idx = np.searchsorted(t_table, t_values)
@@ -300,9 +338,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
 
 def check_lemma_star2(model: KernelModel, u0: FiniteMeasure, n: int, t: float,
                       x: float, theta: float | None = None,
-                      x_halfwidth: float | None = None, nx: int = 1025,
                       spec: QuadratureSpec = DEFAULT_SPEC):
     """(lhs, rhs) for the n-fold kernel-squared bound seeded by (p*u0)^2."""
-    lhs, rhs = check_lemma_star2_grid(model, u0, n, [t], [x], theta,
-                                      x_halfwidth, nx, spec)
+    lhs, rhs = check_lemma_star2_grid(model, u0, n, [t], [x], theta, spec)
     return float(lhs[n - 1, 0, 0]), float(rhs[n - 1, 0, 0])

@@ -429,31 +429,6 @@ def frak_T(model: KernelModel, k: float, lip: float, theta: float | None = None,
     return g_eval(model, 1.0 / (32.0 * k * th * max(1.0, lip * lip)), spec)
 
 
-@dataclass
-class KernelFunctionals:
-    """Bundle of the scalar functionals for one model (CLI / reporting)."""
-
-    model: KernelModel
-    theta: float
-    lip: float = 1.0
-
-    def upsilon(self, beta: float) -> float:
-        return upsilon_eval(self.model, beta)
-
-    def gamma(self, k: float) -> float:
-        return gamma_k(self.model, k, self.lip)
-
-    def g(self, a: float) -> float:
-        return g_eval(self.model, a)
-
-    def horizon(self, k: float) -> float:
-        return frak_T(self.model, k, self.lip, theta=self.theta)
-
-
-def kernel_functionals(model: KernelModel, lip: float = 1.0) -> KernelFunctionals:
-    return KernelFunctionals(model=model, theta=theta_estimate(model), lip=lip)
-
-
 # ---------------------------------------------------------------------------
 # Band-limited lattice rows (shared by the solver and the moment oracle).
 # ---------------------------------------------------------------------------

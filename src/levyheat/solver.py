@@ -43,11 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 
-from .conv_calculus import (SpaceTimeGrid, _theta_rule, graded_times,
-                            kernel_squared_grid, smoothed_squared_grid,
-                            st_convolve)
+from .conv_calculus import (SpaceTimeGrid, _theta_rule, _window_nodes,
+                            graded_times, kernel_squared_grid,
+                            smoothed_squared_grid, st_convolve)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
 from .levy_kernel import (DEFAULT_SPEC, KernelModel, QuadratureSpec,
@@ -62,7 +61,7 @@ __all__ = [
     "SigmaSpec", "sigma_linear", "sigma_saturating", "sigma_custom",
     "FieldLattice", "MomentTable", "MomentRow", "StabilityRow", "Lattice",
     "build_lattice", "march", "march_seeds", "seed_ids", "step_numbers",
-    "x_centers",
+    "step_slots", "x_centers",
     "check_truncation", "growth_envelope",
     "picard_iterate", "evolve", "pam_second_moment_oracle",
     "stability_compare", "stability_bound", "positivity_scan", "mc_moments",
@@ -323,6 +322,15 @@ def step_numbers(values, dt: float, name: str) -> list[int]:
     return out
 
 
+def step_slots(steps) -> dict[int, list[int]]:
+    """{march row j: every slot whose step number is j + 1}, so a time
+    requested twice fills both of its slots with the same row."""
+    at: dict[int, list[int]] = {}
+    for slot, i in enumerate(steps):
+        at.setdefault(i - 1, []).append(slot)
+    return at
+
+
 @dataclass(frozen=True)
 class Lattice:
     """What a march needs besides the noise: the cell centers, the exact
@@ -515,18 +523,27 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 # Picard iteration.
 # ---------------------------------------------------------------------------
 
-def _circulant_spectra(rows: np.ndarray, m_fft: int) -> np.ndarray:
-    """rfft of the circulant embedding of symmetric Toeplitz rows."""
-    n_rows, nx = rows.shape
-    cols = np.zeros((n_rows, m_fft))
-    cols[:, :nx] = rows
-    cols[:, m_fft - nx + 1:] = rows[:, 1:][:, ::-1]
-    return rfft(cols, axis=1)
+def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
+    """rows[m] = base[m] + sum_{i<m} S_{m-1-i} (*) drive(i, rows[i]).
 
-
-def _toeplitz_apply_many(spectra_sum: np.ndarray, m_fft: int,
-                         nx: int) -> np.ndarray:
-    return irfft(spectra_sum, n=m_fft)[..., :nx]
+    S_l (*) g applies the symmetric Toeplitz matrix with first row
+    srows[l] through its circulant embedding.  Each kernel row and each
+    drive row is transformed once, the lag sum is taken in Fourier space,
+    and each output row costs one irfft.
+    """
+    nt, nx = base.shape
+    m_fft = next_fast_len(2 * nx)
+    cols = np.zeros((nt - 1, m_fft))
+    cols[:, :nx] = srows
+    cols[:, m_fft - nx + 1:] = srows[:, :0:-1]
+    shat = rfft(cols, axis=1)
+    dhat = np.empty((nt, shat.shape[1]), dtype=complex)
+    rows = base.copy()
+    for m in range(1, nt):
+        dhat[m - 1] = rfft(drive(m - 1, rows[m - 1]), m_fft)
+        acc = np.sum(dhat[:m] * shat[m - 1::-1], axis=0)
+        rows[m] += irfft(acc, n=m_fft)[:nx]
+    return rows
 
 
 _FRAKT_CACHE: dict[tuple, float] = {}
@@ -579,25 +596,12 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                             exterior_mass_frac=ext)
 
     det = np.maximum(heat_convolve_rows(model, u0, times, x_nodes, spec), 0.0)
+    srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
+                             dt_average=dt)
     cur = np.zeros((nt, nx))
-    if nt == 1:
-        cur = det.copy()
-    else:
-        m_fft = next_fast_len(2 * nx)
-        srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
-                                 dt_average=dt)
-        shat = _circulant_spectra(srows, m_fft)
-        w = noise.increments
-        for _ in range(n):
-            shots = sigma.apply(cur[:nt - 1]) * w[1:nt]
-            pad = np.zeros((nt - 1, m_fft))
-            pad[:, :nx] = shots
-            ghat = rfft(pad, axis=1)
-            nxt = det.copy()
-            for m in range(2, nt + 1):
-                acc = np.sum(ghat[:m - 1] * shat[m - 2::-1], axis=0)
-                nxt[m - 1] += _toeplitz_apply_many(acc, m_fft, nx)
-            cur = nxt
+    for _ in range(n):
+        shots = sigma.apply(cur[:nt - 1]) * noise.increments[1:nt]
+        cur = _lag_march(det, srows, lambda i, _row: shots[i])
 
     grid = SpaceTimeGrid(times, x_nodes, cur)
     return FieldLattice(grid=grid, scheme="picard", seed=noise.seed,
@@ -620,102 +624,38 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec) -> np.ndarray:
     """
     nt, nx = t_nodes.size, x_nodes.size
     dt = float(t_nodes[0])
-    dx = float(x_nodes[1] - x_nodes[0]) if nx > 1 else 1.0
+    dx = float(x_nodes[1] - x_nodes[0])
     det = np.maximum(heat_convolve_rows(model, u0, t_nodes, x_nodes, spec),
                      0.0)
-    f = det ** 2
-    if nt == 1 or lam == 0.0:
-        return f
-    m_fft = next_fast_len(2 * nx)
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
-    s2hat = _circulant_spectra(srows ** 2, m_fft)
-    fhat = np.empty((nt, s2hat.shape[1]), dtype=complex)
     scale = lam * lam * dt * dx
-
-    def _row_hat(row):
-        pad = np.zeros(m_fft)
-        pad[:nx] = row
-        return rfft(pad)
-
-    fhat[0] = _row_hat(f[0])
-    for m in range(2, nt + 1):
-        acc = np.sum(fhat[:m - 1] * s2hat[m - 2::-1], axis=0)
-        f[m - 1] += scale * _toeplitz_apply_many(acc, m_fft, nx)
-        fhat[m - 1] = _row_hat(f[m - 1])
-    return f
+    return _lag_march(det ** 2, srows ** 2, lambda i, row: scale * row)
 
 
-def _interp_rows(t_nodes: np.ndarray, rows: np.ndarray, s: float,
-                 limit: int) -> np.ndarray:
-    """Linear-in-t interpolation of rows[:limit], clamped at both ends."""
-    if s <= t_nodes[0] or limit == 1:
-        return rows[0]
-    top = min(limit - 1, t_nodes.size - 1)
-    if s >= t_nodes[top]:
-        return rows[top]
-    j = int(np.searchsorted(t_nodes[:top + 1], s)) - 1
-    c = (s - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
-    return (1.0 - c) * rows[j] + c * rows[j + 1]
-
-
-def _oracle_continuum(model, u0, lam, t_targets, x_out, spec,
-                      n_theta_half=48, n_table=88) -> np.ndarray:
+def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
     """Volterra march for f = det^2 + lam^2 (p^2 (*) f) on a graded mesh.
 
-    The first interaction term lam^2 (p^2 (*) det^2) carries the whole
+    The first interaction term S1 = lam^2 (p^2 (*) det^2) carries the whole
     initial-data singularity and is integrated by st_convolve with its
     sub-lattice spike handling; the remainder h = lam^2 (p^2 (*) (S1 + h))
-    is tamer and is marched causally, clamping the not-yet-computed sliver
-    of the current step (graded mesh keeps that sliver's kernel mass
-    small).
+    is tamer and is st_convolve's causal feedback march.
     """
     t_targets = np.asarray(t_targets, dtype=float)
     x_out = np.asarray(x_out, dtype=float)
-    t_max = float(t_targets[-1])
-    t_min = float(t_targets[0])
-
-    if model.kind == "stable":
-        alpha = model.alpha
-    else:
-        alpha = 2.0
-    scale = (model.kappa * t_max) ** (1.0 / alpha)
-    # tail buffer: 24 diffusion lengths, with a wide floor for heavy tails
-    # that relaxes when the horizon itself is tiny
-    halfw = float(np.abs(x_out).max()) + u0.data_radius \
-        + max(min(10.0, 100.0 * scale), 24.0 * scale)
-    dx_cap = (model.kappa * t_min / 4.0) ** (1.0 / alpha) / 3.0
-    nx_i = 2 * max(512, int(math.ceil(halfw / dx_cap))) + 1
-    x_int = np.linspace(-halfw, halfw, nx_i)
-    dx = float(x_int[1] - x_int[0])
-
-    tbl = graded_times(t_max, n=n_table, include=t_targets)
+    x_int = _window_nodes(model, u0, t_targets, x_out)
+    tbl = graded_times(float(t_targets[-1]), n=88, include=t_targets)
     kern = kernel_squared_grid(model, tbl, x_int, spec)
     seed = smoothed_squared_grid(model, u0, tbl, x_int, spec)
-    s1 = lam * lam * st_convolve(kern, seed, n_theta_half).values
-
-    theta, wq = _theta_rule(n_theta_half)
-    sin2 = np.sin(theta) ** 2
-    ds_w = wq * np.sin(2.0 * theta)
-    h = np.zeros_like(s1)
-    if lam != 0.0:
-        lam2 = lam * lam
-        for i, t in enumerate(tbl):
-            acc = np.zeros(nx_i)
-            limit = max(i, 1)
-            for s_frac, wgt in zip(sin2, ds_w):
-                s = t * s_frac
-                row_k = kern.row_at(t - s)
-                row_g = _interp_rows(tbl, s1, s, tbl.size) \
-                    + _interp_rows(tbl, h, s, limit)
-                acc += wgt * fftconvolve(row_k, row_g, mode="same")
-            h[i] = np.maximum(acc * (t * dx) * lam2, 0.0)
+    lam2 = lam * lam
+    s1 = SpaceTimeGrid(tbl, x_int, lam2 * st_convolve(kern, seed).values)
+    h = lam2 * st_convolve(kern, s1, feedback=lam2).values
 
     out = np.empty((t_targets.size, x_out.size))
     for j, t in enumerate(t_targets):
         i = int(np.argmin(np.abs(tbl - t)))
         det = heat_convolve_many(model, u0, t, x_out, spec)
-        out[j] = det ** 2 + np.interp(x_out, x_int, s1[i] + h[i])
+        out[j] = det ** 2 + np.interp(x_out, x_int, s1.values[i] + h[i])
     return out
 
 
@@ -767,9 +707,7 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
     """
     t_values = np.asarray(t_values, dtype=float)
     tbl = graded_times(float(t_values[-1]), n=160, include=t_values)
-    theta, wq = _theta_rule(n_theta_half)
-    sin2 = np.sin(theta) ** 2
-    ds_w = wq * np.sin(2.0 * theta)
+    s_frac, ds_w = _theta_rule(n_theta_half)
     lam2 = lam * lam
     f = np.ones(tbl.size)
     for i, t in enumerate(tbl):
@@ -777,8 +715,8 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
             f[i] = 1.0 + lam2 * p0_eval(model, 2.0 * t, spec) * t
             continue
         acc = 0.0
-        for s_frac, wgt in zip(sin2, ds_w):
-            s = t * s_frac
+        for sf, wgt in zip(s_frac, ds_w):
+            s = t * sf
             fs = float(np.interp(s, tbl[:i + 1],
                                  np.concatenate([f[:i], [f[i - 1]]])))
             acc += wgt * p0_eval(model, 2.0 * (t - s), spec) * fs
@@ -845,26 +783,25 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     cols = [int(np.argmin(np.abs(x_nodes - xp)))
             for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
     n_pt, n_px, n_k = len(t_idx), len(cols), len(ks)
-    probe_at = {i - 1: slot for slot, i in enumerate(t_idx)}
-    snap_at = {i - 1: slot for slot, i in enumerate(snap_idx)}
+    probe_at = step_slots(t_idx)
+    snap_at = step_slots(snap_idx)
     # power sums of |u|^k and |u|^2k, one slot per seed chunk, summed in
     # chunk order below
     sums = np.zeros((-(-len(seeds) // batch), 2, n_pt, n_px, n_k))
     snaps = np.empty((len(seeds), len(snap_idx), nx))
 
     def collect(first, j, u, v):
-        slot = snap_at.get(j)
-        if slot is not None:
+        for slot in snap_at.get(j, ()):
             snaps[first:first + u.shape[0], slot] = u[:, 0]
-        slot = probe_at.get(j)
-        if slot is None:
+        slots = probe_at.get(j)
+        if slots is None:
             return
         vals = u[:, 0][:, cols]
         chunk = first // batch
         for kpos, kv in enumerate(ks):
             a = vals if kv == 1 else np.abs(vals) ** kv
-            sums[chunk, 0, slot, :, kpos] += a.sum(axis=0)
-            sums[chunk, 1, slot, :, kpos] += (a * a).sum(axis=0)
+            sums[chunk, 0, slots, :, kpos] += a.sum(axis=0)
+            sums[chunk, 1, slots, :, kpos] += (a * a).sum(axis=0)
 
     march_seeds(lat, sigma, seeds, collect, batch=batch, threads=threads,
                 max_cells=max_cells)

@@ -427,3 +427,8 @@ class TestEnsembleRows:
             ref = fld.grid.values[-1]
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(rows[s, 1] - ref)) < 1e-9 * scale
+
+    def test_repeated_probe_time_fills_every_slot(self):
+        _, rows = _ensemble_rows(BM, U0, PAM, dt=0.01, nx=128,
+                                 half_width=8.0, t_probes=[0.1, 0.1], seeds=4)
+        assert np.array_equal(rows[:, 0], rows[:, 1])

@@ -1,6 +1,10 @@
-"""Module layering: no module reaches into another's private names."""
+"""Module layering: no module reaches into another's private names, and
+importing the package leaves heavy optional subpackages unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import levyheat
@@ -39,3 +43,14 @@ def test_checker_sees_private_imports(tmp_path):
                    "    from levyheat.analysis import _ensemble_rows\n")
     assert private_imports(src) == [(1, "solver", "_thread_map"),
                                     (3, "analysis", "_ensemble_rows")]
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs more than a second of import on every CLI call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, levyheat; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

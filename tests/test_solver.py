@@ -292,6 +292,18 @@ class TestOracle:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 5e-2
 
+    @pytest.mark.parametrize("lam,rtol", [(0.3, 1e-4), (1.0, 1e-3)])
+    def test_feedback_march_matches_flat_reference(self, lam, rtol):
+        # flat data: f = 1 + lam^2 out with out = p^2 (*) (1 + lam^2 out)
+        ts = np.array([0.1, 0.5, 1.0])
+        tbl = graded_times(1.0, n=88, include=ts)
+        x = np.linspace(-12.0, 12.0, 1025)
+        ones = SpaceTimeGrid(tbl, x, np.ones((tbl.size, x.size)))
+        out = st_convolve(kernel_squared_grid(BM, tbl, x), ones,
+                          feedback=lam * lam)
+        got = 1.0 + lam * lam * out.values[np.searchsorted(tbl, ts), 512]
+        assert_allclose(got, _flat_second_moment(BM, lam, ts), rtol=rtol)
+
     def test_small_lam_first_order(self):
         """f - det^2 = lam^2 (p^2 (*) det^2) + O(lam^4)."""
         ts = np.array([0.2, 0.3])
@@ -379,6 +391,23 @@ class TestMcMoments:
         assert np.array_equal(a.estimate, b.estimate)
         assert np.array_equal(b.estimate, c.estimate)
         assert np.array_equal(b.std_error, c.std_error)
+
+    def test_repeated_probe_time_fills_every_slot(self):
+        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, n_seeds=4,
+                  x_probes=[0.0], ks=[2])
+        twice = mc_moments(BM, U0, PAM, t_probes=[0.1, 0.1], **kw)
+        once = mc_moments(BM, U0, PAM, t_probes=[0.1], **kw)
+        assert np.array_equal(twice.raw_moment, np.repeat(once.raw_moment, 2))
+        assert twice.raw_moment[0] > 0
+
+    def test_repeated_snapshot_time_fills_every_slot(self):
+        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, n_seeds=4,
+                  t_probes=[0.1], x_probes=[0.0], ks=[2])
+        twice = mc_moments(BM, U0, PAM, snapshot_times=[0.05, 0.05], **kw)
+        once = mc_moments(BM, U0, PAM, snapshot_times=[0.05], **kw)
+        for slot in (0, 1):
+            assert np.array_equal(twice.snapshots[:, slot],
+                                  once.snapshots[:, 0])
 
 
 class TestStability:
