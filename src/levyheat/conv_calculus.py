@@ -32,13 +32,13 @@ from .levy_kernel import (
     DEFAULT_SPEC,
     KernelModel,
     QuadratureSpec,
+    _fourier_rows,
     _gauss_rule,
     p0_eval,
     p0_integral,
-    p_eval_many,
     theta_estimate,
 )
-from .measure_init import FiniteMeasure, heat_convolve_many
+from .measure_init import FiniteMeasure, heat_convolve_many, heat_convolve_rows
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,10 @@ def _resolvable_time(model: KernelModel, dx: float) -> float:
     return width ** 2  # conservative default for tabulated exponents
 
 
-def _lattice_spike(x_nodes: np.ndarray, mass: float) -> np.ndarray:
-    """Unit-cell spike at the origin carrying the given integral."""
-    row = np.zeros(x_nodes.size)
-    j = int(np.argmin(np.abs(x_nodes)))
-    row[j] = mass / (x_nodes[1] - x_nodes[0])
-    return row
+def _spike_masses(model: KernelModel, t_nodes, x_nodes, spec):
+    """Mask of the rows too narrow to sample, and p_{2t}(0) at them."""
+    small = t_nodes < _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
+    return small, _fourier_rows(model, 2.0 * t_nodes[small], [0.0], spec)[:, 0]
 
 
 def kernel_squared_grid(model: KernelModel, t_nodes, x_nodes,
@@ -162,13 +160,10 @@ def kernel_squared_grid(model: KernelModel, t_nodes, x_nodes,
     """Rows of p_t(x)^2; sub-lattice times become mass p_{2t}(0) spikes."""
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    u_r = _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
-    rows = np.empty((t_nodes.size, x_nodes.size))
-    for i, t in enumerate(t_nodes):
-        if t < u_r:
-            rows[i] = _lattice_spike(x_nodes, p0_eval(model, 2.0 * t, spec))
-        else:
-            rows[i] = p_eval_many(model, t, x_nodes, spec) ** 2
+    small, p2 = _spike_masses(model, t_nodes, x_nodes, spec)
+    rows = np.zeros((t_nodes.size, x_nodes.size))
+    rows[~small] = _fourier_rows(model, t_nodes[~small], x_nodes, spec) ** 2
+    rows[small, np.argmin(np.abs(x_nodes))] = p2 / (x_nodes[1] - x_nodes[0])
     return SpaceTimeGrid(t_nodes, x_nodes, rows)
 
 
@@ -177,13 +172,11 @@ def kernel_grid(model: KernelModel, t_nodes, x_nodes,
     """Rows of p_t(x); sub-lattice times become unit-mass spikes."""
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    u_r = _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
-    rows = np.empty((t_nodes.size, x_nodes.size))
-    for i, t in enumerate(t_nodes):
-        if t < u_r:
-            rows[i] = _lattice_spike(x_nodes, 1.0)
-        else:
-            rows[i] = np.maximum(p_eval_many(model, t, x_nodes, spec), 0.0)
+    small = t_nodes < _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
+    rows = np.zeros((t_nodes.size, x_nodes.size))
+    rows[~small] = np.maximum(
+        _fourier_rows(model, t_nodes[~small], x_nodes, spec), 0.0)
+    rows[small, np.argmin(np.abs(x_nodes))] = 1.0 / (x_nodes[1] - x_nodes[0])
     return SpaceTimeGrid(t_nodes, x_nodes, rows)
 
 
@@ -199,26 +192,18 @@ def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
     dx = float(x_nodes[1] - x_nodes[0])
-    u_r = _resolvable_time(model, dx)
-    rows = np.empty((t_nodes.size, x_nodes.size))
-    frozen = None
-    for i, t in enumerate(t_nodes):
-        if t >= u_r:
-            rows[i] = heat_convolve_many(model, u0, t, x_nodes, spec) ** 2
-            continue
-        if frozen is None:
-            frozen = np.zeros(x_nodes.size)
-            if u0.density_grid is not None:
-                dens = FiniteMeasure(density_grid=u0.density_grid,
-                                     density_values=u0.density_values,
-                                     support_radius=u0.support_radius)
-                frozen = heat_convolve_many(model, dens, u_r, x_nodes, spec) ** 2
-        row = frozen.copy()
-        p2 = p0_eval(model, 2.0 * t, spec)
-        for y, m in u0.atoms:
-            j = int(np.argmin(np.abs(x_nodes - y)))
-            row[j] += m * m * p2 / dx
-        rows[i] = row
+    small, p2 = _spike_masses(model, t_nodes, x_nodes, spec)
+    rows = np.zeros((t_nodes.size, x_nodes.size))
+    rows[~small] = heat_convolve_rows(model, u0, t_nodes[~small], x_nodes,
+                                      spec) ** 2
+    if np.any(small) and u0.density_grid is not None:
+        dens = FiniteMeasure(density_grid=u0.density_grid,
+                             density_values=u0.density_values,
+                             support_radius=u0.support_radius)
+        rows[small] = heat_convolve_many(model, dens, _resolvable_time(
+            model, dx), x_nodes, spec) ** 2
+    for y, m in u0.atoms:
+        rows[small, np.argmin(np.abs(x_nodes - y))] += m * m * p2 / dx
     return SpaceTimeGrid(t_nodes, x_nodes, rows)
 
 
@@ -322,8 +307,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
     idx = np.searchsorted(t_table, t_values)
     lhs = np.empty((n_levels, t_values.size, x_values.size))
     rhs = np.empty_like(lhs)
-    smooth = np.array([heat_convolve_many(model, u0, t, x_values, spec)
-                       for t in t_values])
+    smooth = heat_convolve_rows(model, u0, t_values, x_values, spec)
     p0s = np.array([p0_eval(model, t, spec) for t in t_values])
     ints = np.array([p0_integral(model, t, spec) for t in t_values])
     cur = seed

@@ -177,24 +177,53 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
     return np.concatenate(nodes_all), np.concatenate(weights_all)
 
 
-def p_eval_many(model: KernelModel, t: float, xs, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Transition density p_t at an array of offsets, one shared quadrature."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
+                  u_hat=None, radius: float = 0.0) -> np.ndarray:
+    """Rows (1/pi) int_0^cutoff e^{-t psi} Re[u_hat(xi) e^{-i xi x}] dxi,
+    one per t in ts, at every x in xs; u_hat = None means u_hat = 1.
+
+    One xi rule serves the whole block: its cutoff is sized for min(ts)
+    and its geometric panels are extended by log2 of the cutoff ratio of
+    min(ts) to max(ts), so the largest time sees panels as fine near 0 as
+    its own rule would give it.  The rule, and so every row, depends on
+    the whole time set.  With D = damp * weights * u_hat the rows are
+    Re(D) cos(xi x) + Im(D) sin(xi x) in real arithmetic (no sin product
+    when D is real), blocked over x so each phase array stays ~32 MB.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cutoff = spec.cutoff_xi or _cutoff_for(model, t, spec.tol)
-    if math.exp(-t * float(psi_eval(model, cutoff))) > spec.tol:
+    if not np.all(ts > 0):
+        raise ValueError("times must be positive")
+    if ts.size == 0:
+        return np.empty((0, xs.size))
+    t_lo, t_hi = float(ts.min()), float(ts.max())
+    cutoff = spec.cutoff_xi or _cutoff_for(model, t_lo, spec.tol)
+    if math.exp(-t_lo * float(psi_eval(model, cutoff))) > spec.tol:
         raise QuadratureUnderresolved(
             f"cutoff {cutoff:g} leaves tail exp(-t psi) above tol={spec.tol:g}"
         )
-    nodes, weights = _xi_rule(cutoff, float(np.abs(xs).max()), spec)
-    damp = weights * np.exp(-t * psi_eval(model, nodes))
-    # blocked so the cos matrix stays ~32 MB however many offsets arrive
-    out = np.empty(xs.size)
+    extra = 0 if t_hi == t_lo else max(0, math.ceil(math.log2(
+        _cutoff_for(model, t_lo, spec.tol) / _cutoff_for(model, t_hi, spec.tol))))
+    nodes, weights = _xi_rule(cutoff, float(np.abs(xs).max()) + radius, spec,
+                              n_geo=28 + extra)
+    d = np.exp(-np.multiply.outer(ts, psi_eval(model, nodes))) * weights
+    if u_hat is not None:
+        d = d * u_hat(nodes)
+    d_sin = np.ascontiguousarray(d.imag) if np.any(np.imag(d)) else None
+    d = np.ascontiguousarray(d.real)
+    out = np.empty((ts.size, xs.size))
     block = max(1, 4_000_000 // nodes.size)
     for i in range(0, xs.size, block):
-        out[i:i + block] = np.cos(np.outer(xs[i:i + block], nodes)) @ damp
+        arg = np.multiply.outer(nodes, xs[i:i + block])
+        out[:, i:i + block] = d @ np.cos(arg)
+        if d_sin is not None:
+            out[:, i:i + block] += d_sin @ np.sin(arg, out=arg)
     return out / math.pi
+
+
+def p_eval_many(model: KernelModel, t: float, xs, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Transition density p_t at an array of offsets, one shared quadrature."""
+    return _fourier_rows(model, [t], xs, spec)[0]
 
 
 def p_eval(model: KernelModel, t: float, x: float,

@@ -8,8 +8,9 @@ the Fourier side,
     (p_t * u0)(x) = (1/pi) int_0^inf e^{-t psi(xi)}
                     Re[ u0_hat(xi) e^{-i xi x} ] dxi,
 
-which handles atoms and densities uniformly with one quadrature shared by
-all evaluation points.
+which handles atoms and densities uniformly.  Each call, for one time or a
+table of times, uses one xi rule for all of them (see heat_convolve_rows)
+and forms Re(u0_hat) cos(xi x) + Im(u0_hat) sin(xi x) in real arithmetic.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .levy_kernel import (
     DEFAULT_SPEC,
     KernelModel,
     QuadratureSpec,
-    _cutoff_for,
-    _xi_rule,
-    psi_eval,
+    _fourier_rows,
 )
 
 
@@ -122,16 +121,8 @@ def fourier_u0(u0: FiniteMeasure, xi):
 def heat_convolve_many(model: KernelModel, u0: FiniteMeasure, t: float, xs,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """(p_t * u0)(x) for an array of x, one shared Fourier quadrature."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cutoff = spec.cutoff_xi or _cutoff_for(model, t, spec.tol)
-    osc = float(np.abs(xs).max()) + u0.data_radius
-    nodes, weights = _xi_rule(cutoff, osc, spec)
-    damp = weights * np.exp(-t * psi_eval(model, nodes))
-    u0_hat = fourier_u0(u0, nodes)
-    phase = np.exp(-1j * np.multiply.outer(xs, nodes))
-    return (phase @ (damp * u0_hat)).real / math.pi
+    return _fourier_rows(model, [t], xs, spec, lambda xi: fourier_u0(u0, xi),
+                         u0.data_radius)[0]
 
 
 def heat_convolve(model: KernelModel, u0: FiniteMeasure, t: float, x: float,
@@ -142,30 +133,18 @@ def heat_convolve(model: KernelModel, u0: FiniteMeasure, t: float, x: float,
 
 def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts, xs,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """(p_t * u0)(x) rows over an array of times, one shared xi rule.
+    """(p_t * u0)(x) rows over an array of times, one xi rule per call.
 
-    The rule is sized for the smallest time (largest cutoff), so later
-    rows see spare resolution, and one phase matrix serves every row.
-    Marching schemes that need hundreds of rows on a fixed lattice should
-    use this instead of per-time heat_convolve_many calls; note the rule
-    depends on min(ts), so splitting one batch into two does not
-    reproduce the same floating-point values.
+    The cutoff is sized for the smallest time and the geometric panels
+    toward 0 are extended by log2 of the cutoff ratio of the smallest to
+    the largest time, so each row is resolved as well as by its own rule;
+    one real cos (and, for data off the origin, sin) phase matrix serves
+    every row.  The rule depends on the whole time set, so splitting a
+    batch changes the floating-point values: bit-exact restarts evaluate
+    one time per call.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(ts <= 0):
-        raise ValueError("times must be positive")
-    cutoff = spec.cutoff_xi or _cutoff_for(model, float(ts.min()), spec.tol)
-    osc = float(np.abs(xs).max()) + u0.data_radius
-    nodes, weights = _xi_rule(cutoff, osc, spec)
-    damp = np.exp(-np.multiply.outer(ts, psi_eval(model, nodes)))
-    damp = damp * (weights * fourier_u0(u0, nodes))
-    out = np.empty((ts.size, xs.size))
-    block = max(1, 2_000_000 // nodes.size)
-    for i in range(0, xs.size, block):
-        phase = np.exp(-1j * np.multiply.outer(xs[i:i + block], nodes))
-        out[:, i:i + block] = (damp @ phase.T).real
-    return out / math.pi
+    return _fourier_rows(model, ts, xs, spec,
+                         lambda xi: fourier_u0(u0, xi), u0.data_radius)
 
 
 def make_positive_definite_example(a: float) -> FiniteMeasure:

@@ -50,9 +50,9 @@ from .conv_calculus import (SpaceTimeGrid, _theta_rule, _window_nodes,
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
 from .levy_kernel import (DEFAULT_SPEC, KernelModel, QuadratureSpec,
-                          _upsilon_tail, _xi_rule, bandlimited_rows,
-                          exterior_mass, frak_T, gamma_k, p0_eval, psi_eval,
-                          upsilon_eval)
+                          _fourier_rows, _upsilon_tail, _xi_rule,
+                          bandlimited_rows, exterior_mass, frak_T, gamma_k,
+                          p0_eval, psi_eval, upsilon_eval)
 from .measure_init import (FiniteMeasure, heat_convolve_many,
                            heat_convolve_rows)
 from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
@@ -651,11 +651,10 @@ def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
     s1 = SpaceTimeGrid(tbl, x_int, lam2 * st_convolve(kern, seed).values)
     h = lam2 * st_convolve(kern, s1, feedback=lam2).values
 
-    out = np.empty((t_targets.size, x_out.size))
+    out = heat_convolve_rows(model, u0, t_targets, x_out, spec) ** 2
     for j, t in enumerate(t_targets):
         i = int(np.argmin(np.abs(tbl - t)))
-        det = heat_convolve_many(model, u0, t, x_out, spec)
-        out[j] = det ** 2 + np.interp(x_out, x_int, s1.values[i] + h[i])
+        out[j] += np.interp(x_out, x_int, s1.values[i] + h[i])
     return out
 
 
@@ -701,9 +700,10 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
     """f(t) = 1 + lam^2 int_0^t p_{2(t-s)}(0) f(s) ds for flat data u0 = 1.
 
     Space drops out by translation invariance, leaving a scalar Volterra
-    equation; marched on a graded mesh with the theta substitution.  Used
-    as an independent check of the moment quadratures against the
-    Laplace-transform closed form.
+    equation; marched on a graded mesh with the theta substitution, each
+    row taking its p_{2(t-s)}(0) values exactly (one Fourier call, no x
+    grid).  Used as an independent check of the moment quadratures against
+    the Laplace-transform closed form.
     """
     t_values = np.asarray(t_values, dtype=float)
     tbl = graded_times(float(t_values[-1]), n=160, include=t_values)
@@ -714,13 +714,10 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
         if i == 0:
             f[i] = 1.0 + lam2 * p0_eval(model, 2.0 * t, spec) * t
             continue
-        acc = 0.0
-        for sf, wgt in zip(s_frac, ds_w):
-            s = t * sf
-            fs = float(np.interp(s, tbl[:i + 1],
-                                 np.concatenate([f[:i], [f[i - 1]]])))
-            acc += wgt * p0_eval(model, 2.0 * (t - s), spec) * fs
-        f[i] = 1.0 + lam2 * t * acc
+        s = t * s_frac
+        fs = np.interp(s, tbl[:i + 1], np.concatenate([f[:i], [f[i - 1]]]))
+        p2 = _fourier_rows(model, 2.0 * (t - s), [0.0], spec)[:, 0]
+        f[i] = 1.0 + lam2 * t * (ds_w @ (p2 * fs))
     return np.interp(t_values, tbl, f)
 
 
@@ -822,10 +819,11 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     mass = u0.total_mass
     rows_t, rows_x, rows_k = [], [], []
     est, se, b_eu, b_h1, rawm, rawse = [], [], [], [], [], []
-    for slot, i in enumerate(t_idx):
+    ptus = heat_convolve_rows(model, u0, np.asarray(t_idx) * dt,
+                              x_nodes[cols], spec)
+    for slot, (i, ptu) in enumerate(zip(t_idx, ptus)):
         t = i * dt
         pt0 = p0_eval(model, t, spec)
-        ptu = heat_convolve_many(model, u0, t, x_nodes[cols], spec)
         for cpos in range(n_px):
             shape = pt0 * max(float(ptu[cpos]), 0.0)
             for kpos, kv in enumerate(ks):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from levyheat import (
     GridMismatch,
+    QuadratureSpec,
     brownian,
     delta,
     p0_eval,
@@ -15,8 +17,10 @@ from levyheat import (
     stable,
     theta_estimate,
 )
+from levyheat import levy_kernel
 from levyheat.conv_calculus import (
     SpaceTimeGrid,
+    _resolvable_time,
     _theta_rule,
     check_lemma_pp,
     check_lemma_star2,
@@ -29,6 +33,7 @@ from levyheat.conv_calculus import (
     st_convolve,
     time_convolve_at_origin,
 )
+from levyheat.measure_init import FiniteMeasure, fourier_u0
 
 BM = brownian(1.0)
 
@@ -223,6 +228,90 @@ class TestKernelPowers:
             nfold_kernel_squared(BM, 5, [0.1], np.linspace(-1, 1, 33))
         with pytest.raises(ValueError):
             nfold_kernel_squared(BM, 0, [0.1], np.linspace(-1, 1, 33))
+
+
+def off_centre_measure():
+    """Atoms off the origin plus a density: a complex u0_hat."""
+    grid = np.linspace(-2.0, 2.0, 401)
+    return FiniteMeasure(atoms=((0.7, 0.5), (-1.3, 0.25)), density_grid=grid,
+                         density_values=np.maximum(0.0, 1.0 - np.abs(grid)),
+                         support_radius=2.0)
+
+
+def per_time_rows(model, u0, ts, x, spec):
+    """(p_t * u0)(x) with one xi rule per time and a complex phase matrix."""
+    rows = []
+    for t in ts:
+        cutoff = levy_kernel._cutoff_for(model, t, spec.tol)
+        nodes, weights = levy_kernel._xi_rule(
+            cutoff, float(np.abs(x).max()) + u0.data_radius, spec)
+        damp = weights * np.exp(-t * levy_kernel.psi_eval(model, nodes))
+        phase = np.exp(-1j * np.multiply.outer(x, nodes))
+        rows.append((phase @ (damp * fourier_u0(u0, nodes))).real / math.pi)
+    return np.array(rows)
+
+
+class TestBatchedRows:
+    # At the default tol each per-time rule drops ~1e-12 of its row past
+    # its own cutoff, which a shared rule avoids for all but the smallest
+    # time; a tight tol makes both sides exact to roundoff.
+    spec = QuadratureSpec(tol=1e-13)
+    x = np.linspace(-4.0, 4.0, 257)
+
+    @pytest.mark.parametrize("model", [BM, stable(1.5)],
+                             ids=["brownian", "stable"])
+    def test_rows_match_one_rule_per_time(self, model):
+        ts = graded_times(0.3, n=40)
+        x, dx = self.x, self.x[1] - self.x[0]
+        u_r = _resolvable_time(model, dx)
+        small = ts < u_r
+        assert small.any() and not small.all()
+        j0 = int(np.argmin(np.abs(x)))
+        p2 = per_time_rows(model, delta(), 2.0 * ts[small], [0.0], self.spec)
+        ref = np.zeros((ts.size, x.size))
+        ref[~small] = per_time_rows(model, delta(), ts[~small], x, self.spec)
+        want = {"kernel": np.maximum(ref, 0.0), "squared": ref ** 2}
+        want["kernel"][small, j0] = 1.0 / dx
+        want["squared"][small, j0] = p2[:, 0] / dx
+        u0 = off_centre_measure()
+        want["smoothed"] = np.zeros_like(ref)
+        want["smoothed"][~small] = per_time_rows(
+            model, u0, ts[~small], x, self.spec) ** 2
+        dens = FiniteMeasure(density_grid=u0.density_grid,
+                             density_values=u0.density_values,
+                             support_radius=u0.support_radius)
+        want["smoothed"][small] = per_time_rows(
+            model, dens, [u_r], x, self.spec) ** 2
+        for y, m in u0.atoms:
+            want["smoothed"][small, np.argmin(np.abs(x - y))] += \
+                m * m * p2[:, 0] / dx
+        got = {"kernel": kernel_grid(model, ts, x, self.spec),
+               "squared": kernel_squared_grid(model, ts, x, self.spec),
+               "smoothed": smoothed_squared_grid(model, u0, ts, x, self.spec)}
+        for name, grid in got.items():
+            err = np.abs(grid.values - want[name]).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(want[name]).max(axis=1)), name
+
+    def test_rule_count_does_not_grow_with_rows(self, monkeypatch):
+        builds = []
+        real = levy_kernel._xi_rule
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("levyheat") and hasattr(mod, "_xi_rule"):
+                monkeypatch.setattr(mod, "_xi_rule", counting)
+
+        def count(n):
+            builds.clear()
+            ts = graded_times(0.3, n=n)
+            kernel_squared_grid(BM, ts, self.x)
+            smoothed_squared_grid(BM, off_centre_measure(), ts, self.x)
+            return len(builds)
+
+        assert count(20) == count(80)
 
 
 class TestLemmaStar2:

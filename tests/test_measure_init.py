@@ -14,6 +14,7 @@ from levyheat.measure_init import (
     fourier_u0,
     heat_convolve,
     heat_convolve_many,
+    heat_convolve_rows,
     make_positive_definite_example,
     measure_from_json,
     measure_to_json,
@@ -36,6 +37,16 @@ def test_delta_convolve_is_density():
     xs = np.linspace(-3.0, 3.0, 13)
     assert_allclose(heat_convolve_many(brownian(), delta(), 0.7, xs),
                     p_eval_many(brownian(), 0.7, xs), atol=1e-10)
+
+
+def test_rows_over_a_long_time_span_keep_per_time_accuracy():
+    # one xi rule serves times 14 decades apart; the largest time must be
+    # resolved as well as its own rule resolves it (2.5e-12 here)
+    a = 1.5
+    ts = np.array([2e-14, 0.02, 2.0])
+    got = heat_convolve_rows(stable(a), delta(), ts, [0.0])[:, 0]
+    exact = math.gamma(1.0 / a) / (a * math.pi * ts ** (1.0 / a))
+    assert_allclose(got, exact, rtol=1e-11)
 
 
 def test_mass_scaling_is_exact():
