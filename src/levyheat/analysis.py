@@ -124,7 +124,7 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
     if len(seed_list) * len(t_idx) * nx > max_cells:
         raise AllocationLimit("ensemble row buffer exceeds the budget")
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        times=dt * np.arange(1, max(t_idx) + 1), spec=spec)
+                        steps=np.arange(1, max(t_idx) + 1), spec=spec)
     probe_at = step_slots(t_idx)
     rows = np.empty((len(seed_list), len(t_idx), nx))
 

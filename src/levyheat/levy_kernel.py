@@ -177,18 +177,24 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
     return np.concatenate(nodes_all), np.concatenate(weights_all)
 
 
+# Rows per GEMM in _fourier_rows; a lone row would go through gemv and
+# land a few ulps off the same row of a GEMM.
+ROW_CHUNK = 32
+
+
 def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
-                  u_hat=None, radius: float = 0.0) -> np.ndarray:
+                  u_hat=None, radius: float = 0.0, span=None) -> np.ndarray:
     """Rows (1/pi) int_0^cutoff e^{-t psi} Re[u_hat(xi) e^{-i xi x}] dxi,
     one per t in ts, at every x in xs; u_hat = None means u_hat = 1.
 
-    One xi rule serves the whole block: its cutoff is sized for min(ts)
-    and its geometric panels are extended by log2 of the cutoff ratio of
-    min(ts) to max(ts), so the largest time sees panels as fine near 0 as
-    its own rule would give it.  The rule, and so every row, depends on
-    the whole time set.  With D = damp * weights * u_hat the rows are
-    Re(D) cos(xi x) + Im(D) sin(xi x) in real arithmetic (no sin product
-    when D is real), blocked over x so each phase array stays ~32 MB.
+    One xi rule serves the whole block: with (t_lo, t_hi) = span, by
+    default (min(ts), max(ts)), its cutoff is sized for t_lo and its
+    geometric panels are extended by log2 of the cutoff ratio of t_lo to
+    t_hi, so t_hi sees panels as fine near 0 as its own rule would give.
+    With D = damp * weights * u_hat the rows are Re(D) cos(xi x) +
+    Im(D) sin(xi x) in real arithmetic (no sin product when u_hat is
+    real), blocked over x so each phase array stays ~32 MB, one GEMM per
+    ROW_CHUNK rows.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -196,7 +202,7 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
         raise ValueError("times must be positive")
     if ts.size == 0:
         return np.empty((0, xs.size))
-    t_lo, t_hi = float(ts.min()), float(ts.max())
+    t_lo, t_hi = span or (float(ts.min()), float(ts.max()))
     cutoff = spec.cutoff_xi or _cutoff_for(model, t_lo, spec.tol)
     if math.exp(-t_lo * float(psi_eval(model, cutoff))) > spec.tol:
         raise QuadratureUnderresolved(
@@ -207,17 +213,20 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     nodes, weights = _xi_rule(cutoff, float(np.abs(xs).max()) + radius, spec,
                               n_geo=28 + extra)
     d = np.exp(-np.multiply.outer(ts, psi_eval(model, nodes))) * weights
-    if u_hat is not None:
-        d = d * u_hat(nodes)
-    d_sin = np.ascontiguousarray(d.imag) if np.any(np.imag(d)) else None
-    d = np.ascontiguousarray(d.real)
+    uh = 1.0 if u_hat is None else u_hat(nodes)
+    d_sin = d * uh.imag if np.any(np.imag(uh)) else None
+    d = d * np.real(uh)
     out = np.empty((ts.size, xs.size))
     block = max(1, 4_000_000 // nodes.size)
     for i in range(0, xs.size, block):
         arg = np.multiply.outer(nodes, xs[i:i + block])
-        out[:, i:i + block] = d @ np.cos(arg)
-        if d_sin is not None:
-            out[:, i:i + block] += d_sin @ np.sin(arg, out=arg)
+        cos = np.cos(arg)
+        sin = None if d_sin is None else np.sin(arg, out=arg)
+        for r in range(0, ts.size, ROW_CHUNK):
+            rows = slice(r, r + ROW_CHUNK)
+            out[rows, i:i + block] = d[rows] @ cos
+            if sin is not None:
+                out[rows, i:i + block] += d_sin[rows] @ sin
     return out / math.pi
 
 

@@ -139,9 +139,7 @@ def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts, xs,
     toward 0 are extended by log2 of the cutoff ratio of the smallest to
     the largest time, so each row is resolved as well as by its own rule;
     one real cos (and, for data off the origin, sin) phase matrix serves
-    every row.  The rule depends on the whole time set, so splitting a
-    batch changes the floating-point values: bit-exact restarts evaluate
-    one time per call.
+    every row.
     """
     return _fourier_rows(model, ts, xs, spec,
                          lambda xi: fourier_u0(u0, xi), u0.data_radius)

@@ -24,10 +24,11 @@ Conventions shared by every marching routine here:
   (sigma of a measure is not defined), so noise row 0 is reserved and never
   consumed; continuation runs consume shifted rows starting at 0;
 * the deterministic part is never stepped: row i is (p_{i dt} * u0)(x)
-  evaluated by exact Fourier quadrature, and only the noise part is
-  propagated.  This keeps the mean identity exact for measure data and
-  makes restarts bit-exact (the propagated noise part is stored on the
-  returned lattice).
+  by exact Fourier quadrature, from ``_det_rows`` on every route, and only
+  the noise part is propagated.  This keeps the mean identity exact for
+  measure data.  Row i depends on the lattice and i alone, so restarts
+  are bit-exact (the propagated noise part is stored on the returned
+  lattice).
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .conv_calculus import (SpaceTimeGrid, _theta_rule, _window_nodes,
                             smoothed_squared_grid, st_convolve)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
-from .levy_kernel import (DEFAULT_SPEC, KernelModel, QuadratureSpec,
-                          _fourier_rows, _upsilon_tail, _xi_rule,
-                          bandlimited_rows, exterior_mass, frak_T, gamma_k,
-                          p0_eval, psi_eval, upsilon_eval)
-from .measure_init import (FiniteMeasure, heat_convolve_many,
-                           heat_convolve_rows)
+from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
+                          QuadratureSpec, _fourier_rows, _upsilon_tail,
+                          _xi_rule, bandlimited_rows, exterior_mass, frak_T,
+                          gamma_k, p0_eval, psi_eval, upsilon_eval)
+from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
 from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
 
 __all__ = [
@@ -310,6 +310,25 @@ def _scheme_drift(det, p) -> float:
     return max(worst, floor)
 
 
+def _det_rows(model, u0, dt, steps, x_nodes, half_width, spec, shift=0.0):
+    """Rows (p_{i dt + shift} * u0)(x_nodes), clamped at 0, for the
+    increasing step numbers i in steps.
+
+    One xi rule per lattice: cut off for dt, with panels down to t_hi, the
+    time whose cutoff is 1 / half_width, past every time check_truncation
+    admits.  Rows go in whole ROW_CHUNKs of steps counted from step 1, so
+    a row's bits depend on its step number alone.
+    """
+    steps = np.asarray(steps)
+    first = (steps[0] - 1) // ROW_CHUNK * ROW_CHUNK + 1
+    last = -(-steps[-1] // ROW_CHUNK) * ROW_CHUNK
+    t_hi = math.log(10.0 / spec.tol) / psi_eval(model, 1.0 / half_width)
+    rows = _fourier_rows(model, dt * np.arange(first, last + 1) + shift,
+                         x_nodes, spec, lambda xi: fourier_u0(u0, xi),
+                         u0.data_radius, span=(dt, max(dt, t_hi)))
+    return np.maximum(rows[steps - first], 0.0)  # quadrature dust below 0
+
+
 def step_numbers(values, dt: float, name: str) -> list[int]:
     """Step numbers i >= 1 with i dt equal to each value, else ValueError."""
     out = []
@@ -335,9 +354,9 @@ def step_slots(steps) -> dict[int, list[int]]:
 class Lattice:
     """What a march needs besides the noise: the cell centers, the exact
     deterministic rows det[s, i] = (p_t * u0), clamped at 0, at t = i-th
-    step time + s-th shift (the rows of the start p_shift * u0), the
-    one-step propagators p and k0, and the kernel mass outside the window
-    at the last step time."""
+    step time + s-th shift (the rows of the start p_shift * u0; see
+    _det_rows), the one-step propagators p and k0, and the kernel mass
+    outside the window at the last step time."""
 
     dt: float
     dx: float
@@ -349,30 +368,24 @@ class Lattice:
 
 
 def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
-                  dx: float, nx: int, times, shifts=(0.0,),
-                  per_time_rows: bool = False,
+                  dx: float, nx: int, steps, shifts=(0.0,),
                   spec: QuadratureSpec = DEFAULT_SPEC) -> Lattice:
-    """The Lattice of nx cells of width dx for steps at times (an array),
-    with one start p_s * u0 per shift s.
+    """The Lattice of nx cells of width dx for the consecutive step numbers
+    steps (times i dt), with one start p_s * u0 per shift s.
 
     Warns when the refinement relation p_dt(0) dx <= 0.5 fails; runs
-    check_truncation at the last time.  The det rows of a start share one
-    xi rule unless per_time_rows, which makes each row independent of the
-    other times requested, as bit-exact restarts need.
+    check_truncation at the last step time.  The det rows come from
+    _det_rows, so fresh, restarted and shorter runs share their bits.
     """
     if p0_eval(model, dt, spec) * dx > 0.5:
         warnings.warn(
             "refinement relation violated: p_dt(0) dx > 0.5; one-step "
             "variance amplification is no longer controlled", stacklevel=3)
-    ext = check_truncation(model, u0, float(times[-1]), 0.5 * nx * dx, spec)
+    half = 0.5 * nx * dx
+    ext = check_truncation(model, u0, dt * steps[-1], half, spec)
     x_nodes = x_centers(nx, dx)
-    if per_time_rows:
-        det = [[heat_convolve_many(model, u0, t + s, x_nodes, spec)
-                for t in times] for s in shifts]
-    else:
-        det = [heat_convolve_rows(model, u0, times + s, x_nodes, spec)
-               for s in shifts]
-    det = np.maximum(det, 0.0)  # quadrature dust below 0
+    det = np.array([_det_rows(model, u0, dt, steps, x_nodes, half, spec, s)
+                    for s in shifts])
     p, k0 = _propagators(model, dt, dx, nx)
     return Lattice(dt, dx, x_nodes, det, p, k0, ext)
 
@@ -470,13 +483,14 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 
     Fresh runs start from the measure u0: row 1 is deterministic and noise
     rows 1..m-1 drive the later steps (row 0 stays idle).  Passing
-    from_field continues a previous timestep run; the caller supplies the
-    same model/u0/sigma and the noise shifted to the restart step
-    (shift_noise), and the continuation consumes shifted rows from 0.
-    Restart-equivalence then holds bit-exactly.
+    from_field continues a previous timestep run, whose last time must be
+    a step time i dt (else GridMismatch); the caller supplies the same
+    model/u0/sigma and the noise shifted to the restart step (shift_noise),
+    and the continuation consumes shifted rows from 0.  Restart-equivalence
+    then holds bit-exactly.
     """
     dt, dx, nx = noise.dt, noise.dx, noise.nx
-    t_start, state = 0.0, None
+    j0, state = 0, None
     if from_field is not None:
         if from_field.scheme != "timestep" or from_field.noise_part is None:
             raise ValueError("can only continue a timestep field that "
@@ -485,26 +499,22 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         if not (np.allclose(g.x_nodes, x_centers(nx, dx))
                 and math.isclose(from_field.dt, dt, rel_tol=1e-12)):
             raise GridMismatch("continuation lattice must match the field")
-        t_start = float(g.t_nodes[-1])
+        try:
+            j0 = step_numbers(g.t_nodes[-1], dt, "restart time")[0]
+        except ValueError as exc:
+            raise GridMismatch(str(exc)) from None
         state = (from_field.noise_part[-1], g.values[-1])
 
-    m = step_numbers(t_end - t_start, dt, "time span")[0]
+    m = step_numbers(t_end - j0 * dt, dt, "time span")[0]
     if m > noise.nt:
         raise ValueError(f"noise lattice has {noise.nt} rows, need {m}")
     if 3 * (m + 1) * nx > max_cells:
         raise AllocationLimit(
             f"field of {m} x {nx} cells exceeds the allocation budget")
 
-    # rebuild times as global step multiples: t_start + dt*j rounds
-    # differently from dt*(j0+j) at some steps, and a restart must
-    # reproduce the fresh run's deterministic rows bit for bit
-    j0 = int(round(t_start / dt))
-    if abs(j0 * dt - t_start) <= 1e-9 * max(dt, abs(t_start)):
-        times = dt * np.arange(j0 + 1, j0 + m + 1)
-    else:
-        times = t_start + dt * np.arange(1, m + 1)
-    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, times=times,
-                        per_time_rows=True, spec=spec)
+    steps = np.arange(j0 + 1, j0 + m + 1)
+    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, steps=steps,
+                        spec=spec)
     vals = np.empty((m, nx))
     vpart = np.empty((m, nx))
 
@@ -512,7 +522,7 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         vals[j], vpart[j] = u[0, 0], v[0, 0]
 
     march(lat, sigma, noise.increments[None], keep, state=state)
-    return FieldLattice(grid=SpaceTimeGrid(times, lat.x_nodes, vals),
+    return FieldLattice(grid=SpaceTimeGrid(dt * steps, lat.x_nodes, vals),
                         scheme="timestep", seed=noise.seed,
                         truncation_L=0.5 * nx * dx, dt=dt, noise_part=vpart,
                         eps_num=10.0 * _scheme_drift(lat.det[0], lat.p),
@@ -587,26 +597,18 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     x_nodes = x_centers(nx, dx)
     half = 0.5 * nx * dx
     ext = check_truncation(model, u0, horizon, half, spec)
-    times = dt * np.arange(1, nt + 1)
-
-    if n == 0:
-        grid = SpaceTimeGrid(times, x_nodes, np.zeros((nt, nx)))
-        return FieldLattice(grid=grid, scheme="picard", seed=noise.seed,
-                            truncation_L=half, dt=dt, picard_order=0,
-                            exterior_mass_frac=ext)
-
-    det = np.maximum(heat_convolve_rows(model, u0, times, x_nodes, spec), 0.0)
-    srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
-                             dt_average=dt)
-    cur = np.zeros((nt, nx))
-    for _ in range(n):
-        shots = sigma.apply(cur[:nt - 1]) * noise.increments[1:nt]
-        cur = _lag_march(det, srows, lambda i, _row: shots[i])
-
-    grid = SpaceTimeGrid(times, x_nodes, cur)
-    return FieldLattice(grid=grid, scheme="picard", seed=noise.seed,
-                        truncation_L=half, dt=dt, picard_order=n,
-                        exterior_mass_frac=ext)
+    steps = np.arange(1, nt + 1)
+    cur = np.zeros((nt, nx))  # stage 0
+    if n > 0:
+        det = _det_rows(model, u0, dt, steps, x_nodes, half, spec)
+        srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
+                                 dt_average=dt)
+        for _ in range(n):
+            shots = sigma.apply(cur[:nt - 1]) * noise.increments[1:nt]
+            cur = _lag_march(det, srows, lambda i, _row: shots[i])
+    return FieldLattice(grid=SpaceTimeGrid(dt * steps, x_nodes, cur),
+                        scheme="picard", seed=noise.seed, truncation_L=half,
+                        dt=dt, picard_order=n, exterior_mass_frac=ext)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +627,8 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec) -> np.ndarray:
     nt, nx = t_nodes.size, x_nodes.size
     dt = float(t_nodes[0])
     dx = float(x_nodes[1] - x_nodes[0])
-    det = np.maximum(heat_convolve_rows(model, u0, t_nodes, x_nodes, spec),
-                     0.0)
+    det = _det_rows(model, u0, dt, np.arange(1, nt + 1), x_nodes,
+                    float(np.abs(x_nodes).max()) + 0.5 * dx, spec)
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
     scale = lam * lam * dt * dx
@@ -775,7 +777,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
 
     steps = max([steps] + snap_idx)
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        times=dt * np.arange(1, steps + 1), spec=spec)
+                        steps=np.arange(1, steps + 1), spec=spec)
     x_nodes = lat.x_nodes
     cols = [int(np.argmin(np.abs(x_nodes - xp)))
             for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
@@ -966,7 +968,8 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     times = dt * np.arange(1, steps + 1)
     # start 0 is u0, start 1 + e is p_eps * u0 for the e-th eps
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        times=times, shifts=[0.0] + eps_arr, spec=spec)
+                        steps=range(1, steps + 1), shifts=[0.0] + eps_arr,
+                        spec=spec)
     decay = np.exp(-beta * times)
     dist = np.zeros((len(eps_arr), len(seed_list)))
     last = np.zeros_like(dist)

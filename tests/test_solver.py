@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from levyheat import (
     GridMismatch,
     HorizonExceeded,
     NoiseLattice,
+    QuadratureSpec,
     SpaceTimeGrid,
     brownian,
     delta,
@@ -28,14 +31,20 @@ from levyheat import (
     sigma_saturating,
     stability_bound,
     stability_compare,
+    stable,
 )
+from levyheat import levy_kernel
 from levyheat.conv_calculus import (
     graded_times,
     kernel_squared_grid,
     smoothed_squared_grid,
     st_convolve,
 )
-from levyheat.solver import _deterministic_distance_time, _flat_second_moment
+from levyheat.errors import TruncationTooSmall
+from levyheat.levy_kernel import ROW_CHUNK
+from levyheat.solver import (_det_rows, _deterministic_distance_time,
+                             _flat_second_moment, build_lattice,
+                             check_truncation, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -62,10 +71,15 @@ def delta_closed_form(lam, t, x):
     return np.exp(-x ** 2 / t) / math.sqrt(math.pi * t) * h
 
 
+# more than two row chunks of steps, so restarts land on both sides of a
+# chunk boundary
+LONG_STEPS = 70
+
+
 @pytest.fixture(scope="module")
-def pam_field():
-    noise = sample_noise(0.01, 0.125, 30, 64, seed=11)
-    return evolve(BM, U0, PAM, noise, 0.3)
+def long_run():
+    noise = sample_noise(0.01, 0.125, LONG_STEPS, 128, seed=11)
+    return noise, evolve(BM, U0, PAM, noise, 0.01 * LONG_STEPS)
 
 
 @pytest.fixture(scope="module")
@@ -154,21 +168,91 @@ class TestFieldLattice:
 
 class TestEvolve:
     def test_sigma_zero_is_deterministic(self):
+        # tight tol, as in TestBatchedRows: at the default tol each side
+        # is ~1.1e-12 of its row max off the closed form
+        spec = QuadratureSpec(tol=1e-13)
         noise = sample_noise(0.01, 0.125, 20, 64, seed=3)
-        fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2)
+        fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2, spec=spec)
+        lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64,
+                            steps=range(1, 21), spec=spec)
+        assert np.array_equal(fld.grid.values, lat.det[0])
+        # the lattice's one rule against one rule per time
         xs = fld.grid.x_nodes
-        for i, t in enumerate(fld.grid.t_nodes):
-            ref = np.maximum(heat_convolve_many(BM, U0, t, xs), 0.0)
-            assert np.array_equal(fld.grid.values[i], ref)
+        for row, t in zip(fld.grid.values, fld.grid.t_nodes):
+            ref = np.maximum(heat_convolve_many(BM, U0, t, xs, spec), 0.0)
+            assert np.abs(row - ref).max() <= 1e-12 * ref.max()
         assert positivity_scan(fld) == (0.0, 0)
 
-    def test_restart_bit_exact(self, pam_field):
-        noise = sample_noise(0.01, 0.125, 30, 64, seed=11)
+    @pytest.mark.parametrize("j0", [1, 10, ROW_CHUNK - 1, ROW_CHUNK,
+                                    ROW_CHUNK + 1, 2 * ROW_CHUNK,
+                                    LONG_STEPS - 1])
+    def test_restart_bit_exact(self, long_run, j0):
+        noise, full = long_run
+        part = evolve(BM, U0, PAM, noise, 0.01 * j0)
+        assert np.array_equal(part.grid.values, full.grid.values[:j0])
+        assert np.array_equal(part.noise_part, full.noise_part[:j0])
+        rest = evolve(BM, U0, PAM, shift_noise(noise, j0),
+                      0.01 * LONG_STEPS, from_field=part)
+        assert np.array_equal(rest.grid.t_nodes, full.grid.t_nodes[j0:])
+        assert np.array_equal(rest.grid.values, full.grid.values[j0:])
+        assert np.array_equal(rest.noise_part, full.noise_part[j0:])
+
+    def test_off_lattice_continuation_rejected(self):
+        noise = sample_noise(0.01, 0.125, 20, 64, seed=2)
         part = evolve(BM, U0, PAM, noise, 0.1)
-        rest = evolve(BM, U0, PAM, shift_noise(noise, 10), 0.3,
-                      from_field=part)
-        assert np.array_equal(rest.grid.values, pam_field.grid.values[10:])
-        assert np.array_equal(rest.noise_part, pam_field.noise_part[10:])
+        g = part.grid
+        off = dataclasses.replace(part, grid=SpaceTimeGrid(
+            g.t_nodes + 0.004, g.x_nodes, g.values))
+        with pytest.raises(GridMismatch, match="restart time"):
+            evolve(BM, U0, PAM, shift_noise(noise, 10), 0.2, from_field=off)
+
+    def test_rule_count_does_not_grow_with_steps(self, monkeypatch):
+        builds = []
+        real = levy_kernel._xi_rule
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("levyheat") and hasattr(mod, "_xi_rule"):
+                monkeypatch.setattr(mod, "_xi_rule", counting)
+        noise = sample_noise(0.01, 0.125, 40, 64, seed=5)
+
+        def count(m):
+            builds.clear()
+            evolve(BM, U0, PAM, noise, 0.01 * m)
+            return len(builds)
+
+        assert count(10) == count(40)
+
+    @pytest.mark.parametrize("model, half, xs", [
+        (BM, 4.0, x_centers(64, 0.125)),
+        # a stable window admits only short times, and a rule cut off for
+        # a 64th of one over all of [-L, L] would need ~1e7 nodes: probe
+        # the centre of a wide window instead
+        (stable(1.5), 1000.0, np.linspace(-4.0, 4.0, 17)),
+    ], ids=["brownian", "stable"])
+    def test_rows_match_per_time_rule_across_the_window(self, model, half,
+                                                        xs):
+        # the largest time check_truncation admits, by bisection
+        wide = QuadratureSpec(nodes=4_000_000)
+        lo, hi = 1e-4, 3.0
+        for _ in range(20):
+            mid = math.sqrt(lo * hi)
+            try:
+                check_truncation(model, U0, mid, half, wide)
+                lo = mid
+            except TruncationTooSmall:
+                hi = mid
+        # tight tol on both sides, as in TestBatchedRows: at the default
+        # tol a per-time rule drops ~1e-12 of its row past its cutoff
+        spec = QuadratureSpec(tol=1e-13)
+        dt = lo / 64
+        rows = _det_rows(model, U0, dt, [1, 64], xs, half, spec)
+        for row, t in zip(rows, [dt, 64 * dt]):
+            ref = np.maximum(heat_convolve_many(model, U0, t, xs, spec), 0.0)
+            assert np.abs(row - ref).max() <= 1e-12 * ref.max()
 
     def test_mass_doubling_bit_exact(self):
         # linear sigma commutes with scaling by 2, exactly in floats
