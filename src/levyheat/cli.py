@@ -70,6 +70,7 @@ MOMENT_COLUMNS = ("t", "x", "k", "estimate", "std_error",
                   "raw_moment", "raw_std_error")
 VERDICT_COLUMNS = ("claim_id", "lhs", "rhs", "std_error", "pass")
 REPORT_COLUMNS = ("t", "x", "k", "estimate", "bound")
+SNAPSHOT_COLUMNS = ("seed", "t", "x", "u")
 
 _SCHEMA_FILES = ("experiment_config.schema.json",
                  "simulate_config.schema.json")
@@ -313,11 +314,27 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(fh, header, rows) -> None:
+def _write_csv(fh, header, rows, blocks=()) -> None:
+    """header, then rows with every cell through _fmt_cell, then blocks:
+    strings of whole CSV lines that are already formatted that way."""
     w = csv.writer(fh, lineterminator="\r\n")
     w.writerow(header)
     for row in rows:
         w.writerow([_fmt_cell(c) for c in row])
+    for block in blocks:
+        fh.write(block)
+
+
+def _snapshot_blocks(seeds, times, x_nodes, fields):
+    """The (seed, t, x, u) lines of fields[seed, time, x] as _write_csv
+    would format them as rows, one string per (seed, time) block: each x
+    node and each (seed, t) prefix is formatted once."""
+    xs = [repr(x) for x in x_nodes.tolist()]
+    for seed, block in zip(seeds, fields):
+        for t, row in zip(times, block):
+            prefix = f"{seed},{float(t)!r},"
+            yield "".join([f"{prefix}{x},{u!r}\r\n"
+                           for x, u in zip(xs, row.tolist())])
 
 
 def write_moments_csv(fh, table) -> None:
@@ -468,21 +485,13 @@ def simulate(config_path) -> int:
         model, u0, sigma, dt=grid["dt"], nx=nx, half_width=grid["L"],
         t_end=grid["t_end"], seed_list=seeds, t_probes=t_probes,
         x_probes=x_probes, ks=ks, snapshot_times=snap_times)
-    x_nodes, fields = table.lattice.x_nodes, table.snapshots
 
     outdir = Path(out["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def snapshot_rows():
-        for si, seed in enumerate(seeds):
-            for ti, tv in enumerate(snap_times):
-                for xi in range(nx):
-                    yield (seed, float(tv), float(x_nodes[xi]),
-                           float(fields[si, ti, xi]))
-
     with open(outdir / "snapshots.csv", "w", encoding="utf-8",
               newline="") as fh:
-        _write_csv(fh, ("seed", "t", "x", "u"), snapshot_rows())
+        _write_csv(fh, SNAPSHOT_COLUMNS, (), _snapshot_blocks(
+            seeds, snap_times, table.lattice.x_nodes, table.snapshots))
     with open(outdir / "moments.csv", "w", encoding="utf-8", newline="") as fh:
         write_moments_csv(fh, table)
     manifest = {

@@ -28,7 +28,13 @@ Conventions shared by every marching routine here:
   the noise part is propagated.  This keeps the mean identity exact for
   measure data.  Row i depends on the lattice and i alone, so restarts
   are bit-exact (the propagated noise part is stored on the returned
-  lattice).
+  lattice);
+* the one-step propagators P and K0 are symmetric Toeplitz.  Below
+  ``FFT_MIN_NX`` cells they are dense nx x nx matrices applied by BLAS;
+  from ``FFT_MIN_NX`` on they are held as the rfft spectra of their
+  circulant embeddings and a step costs O(nx log nx) per row instead of
+  O(nx^2).  ``build_lattice`` makes the choice, so every march on one
+  lattice (fresh, restarted or shorter) applies the same arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -71,6 +78,12 @@ __all__ = [
 EPS_GROWTH = 0.5
 
 TRUNCATION_TOL = 1e-8
+
+# Lattices of at least this many cells apply P and K0 through circulant
+# FFTs instead of dense matrices.  It is the measured crossover of one
+# march step of 24 seeds on one BLAS thread (2-core x86-64 Xeon): dense
+# 0.21 ms vs FFT 0.25 ms at 256 cells, 0.53 vs 0.47 ms at 384.
+FFT_MIN_NX = 384
 
 
 # ---------------------------------------------------------------------------
@@ -279,32 +292,68 @@ def check_truncation(model: KernelModel, u0: FiniteMeasure, t_end: float,
     return frac
 
 
+def _circulant_spectra(rows: np.ndarray, n: int) -> np.ndarray:
+    """rfft of the length-n circulant embeddings of the symmetric Toeplitz
+    matrices whose first rows are rows (..., nx).
+
+    With n >= 2 nx - 1 the embedding's lags +d and -d never overlap, so
+    the first nx entries of irfft(rfft(v, n) * spectrum, n) are v T.
+    """
+    nx = rows.shape[-1]
+    cols = np.zeros(rows.shape[:-1] + (n,))
+    cols[..., :nx] = rows
+    cols[..., n - nx + 1:] = rows[..., :0:-1]
+    return rfft(cols, axis=-1)
+
+
 def _propagators(model, dt, dx, nx):
-    """One-step matrices: P for the field, K0 for the fresh noise shot.
+    """The one-step apply step(v, shot) = v P + shot K0, or v P alone
+    when shot is None, for row batches v and shot of shape (..., nx).
 
     P[a, b] = dx * p_dt((a-b) dx) band-limited; K0[a, b] is the
     cell-averaged lag-0 row, i.e. the within-step weight
     (1/dt) int_0^dt p_r((a-b) dx) dr, band-limited.  Both are symmetric
     Toeplitz, and band-limiting makes P an exact lattice semigroup.
+    Below FFT_MIN_NX cells they are dense matrices (BLAS products); from
+    FFT_MIN_NX on only the rfft spectra of their circulant embeddings, of
+    length next_fast_len(2 nx), are kept, no nx x nx array is built, and a
+    step is one rfft per operand and one irfft.  The two agree to a few
+    units of roundoff of the row max.
     """
     rows = bandlimited_rows(model, dx, nx, [0.0, dt], dt_average=None)
     avg0 = bandlimited_rows(model, dx, nx, [0.0], dt_average=dt)[0]
-    p = dx * toeplitz(rows[1])
-    k0 = toeplitz(avg0)
-    return p, k0
+    if nx < FFT_MIN_NX:
+        p = dx * toeplitz(rows[1])
+        k0 = toeplitz(avg0)
+
+        def step(v, shot=None):
+            out = v @ p
+            return out if shot is None else out + shot @ k0
+        return step
+
+    n = next_fast_len(2 * nx)
+    p_hat, k0_hat = _circulant_spectra(np.array([dx * rows[1], avg0]), n)
+
+    def step(v, shot=None):
+        acc = rfft(v, n) * p_hat
+        if shot is not None:
+            acc += rfft(shot, n) * k0_hat
+        return irfft(acc, n)[..., :nx]
+    return step
 
 
-def _scheme_drift(det, p) -> float:
+def _scheme_drift(lat) -> float:
     """Sup deviation between propagated and exact deterministic rows.
 
-    det holds exact rows 1..m; the return value is the worst
-    || det_1 P^{i-1} - det_i ||_inf, the sigma = 0 scheme error that
+    With det = lat.det[0], the exact rows 1..m, the return value is the
+    worst || det_1 P^{i-1} - det_i ||_inf, the sigma = 0 scheme error that
     calibrates eps_num.  A roundoff floor keeps the yardstick positive.
     """
+    det = lat.det[0]
     worst = 0.0
     d = det[0].copy()
     for i in range(1, det.shape[0]):
-        d = d @ p
+        d = lat.step(d)
         worst = max(worst, float(np.abs(d - det[i]).max()))
     floor = 32.0 * np.finfo(float).eps * float(det.max(initial=0.0))
     return max(worst, floor)
@@ -355,15 +404,16 @@ class Lattice:
     """What a march needs besides the noise: the cell centers, the exact
     deterministic rows det[s, i] = (p_t * u0), clamped at 0, at t = i-th
     step time + s-th shift (the rows of the start p_shift * u0; see
-    _det_rows), the one-step propagators p and k0, and the kernel mass
-    outside the window at the last step time."""
+    _det_rows), the one-step apply step(v, shot) = v P + shot K0 of the
+    noise part, and the kernel mass outside the window at the last step
+    time.  step holds P and K0 as dense matrices below FFT_MIN_NX cells
+    and as circulant FFT spectra from FFT_MIN_NX on (see _propagators)."""
 
     dt: float
     dx: float
     x_nodes: np.ndarray = field(repr=False)
     det: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-    k0: np.ndarray = field(repr=False)
+    step: Callable = field(repr=False)
     exterior_mass_frac: float = 0.0
 
 
@@ -386,8 +436,7 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
     x_nodes = x_centers(nx, dx)
     det = np.array([_det_rows(model, u0, dt, steps, x_nodes, half, spec, s)
                     for s in shifts])
-    p, k0 = _propagators(model, dt, dx, nx)
-    return Lattice(dt, dx, x_nodes, det, p, k0, ext)
+    return Lattice(dt, dx, x_nodes, det, _propagators(model, dt, dx, nx), ext)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +465,7 @@ def march(lat: Lattice, sigma: SigmaSpec, noise: np.ndarray, observe, *,
         u = np.reshape(state[1], (b, c, nx))
     for j in range(1 if state is None else 0, steps):
         shot = sigma.apply(u) * noise[:, None, j]
-        v = v @ lat.p + shot.reshape(b * c, nx) @ lat.k0
+        v = lat.step(v, shot.reshape(b * c, nx))
         u = lat.det[:, j] + v.reshape(b, c, nx)
         observe(j, u, v.reshape(b, c, nx))
 
@@ -525,7 +574,7 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     return FieldLattice(grid=SpaceTimeGrid(dt * steps, lat.x_nodes, vals),
                         scheme="timestep", seed=noise.seed,
                         truncation_L=0.5 * nx * dx, dt=dt, noise_part=vpart,
-                        eps_num=10.0 * _scheme_drift(lat.det[0], lat.p),
+                        eps_num=10.0 * _scheme_drift(lat),
                         exterior_mass_frac=lat.exterior_mass_frac)
 
 
@@ -543,10 +592,7 @@ def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
     """
     nt, nx = base.shape
     m_fft = next_fast_len(2 * nx)
-    cols = np.zeros((nt - 1, m_fft))
-    cols[:, :nx] = srows
-    cols[:, m_fft - nx + 1:] = srows[:, :0:-1]
-    shat = rfft(cols, axis=1)
+    shat = _circulant_spectra(srows, m_fft)
     dhat = np.empty((nt, shat.shape[1]), dtype=complex)
     rows = base.copy()
     for m in range(1, nt):

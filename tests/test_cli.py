@@ -1,6 +1,7 @@
 """End-to-end checks of the levyheat command line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -405,6 +406,28 @@ class TestSimulateCommand:
         assert len(col) == len(doc["seeds"])
         assert abs(float(row["raw_moment"]) - np.mean(col)) \
             <= 1e-12 * abs(np.mean(col))
+
+    def test_snapshot_bytes_match_row_writer(self, tmp_path):
+        # an integer snapshot time and unsorted seeds, so the t and seed
+        # columns are formatted as the row writer formats them
+        path, doc = self.sim_config(
+            tmp_path, sigma={"kind": "linear", "lam": 1.0}, seeds=[5, 2],
+            t_end=1, outputs={"dir": str(tmp_path / "sim"),
+                              "snapshot_times": [1, 0.5],
+                              "t_probes": [0.5], "ks": [1]})
+        assert main(["simulate", str(path)]) == 0
+        tab = mc_moments(brownian(1.0), delta(), sigma_linear(1.0), dt=0.01,
+                         nx=128, half_width=8.0, t_end=1, seed_list=[5, 2],
+                         t_probes=[0.5], x_probes=[0.0], ks=[1],
+                         snapshot_times=[0.5, 1])
+        rows = [(seed, float(t), float(x), float(u))
+                for seed, block in zip([5, 2], tab.snapshots)
+                for t, row in zip([0.5, 1], block)
+                for x, u in zip(tab.lattice.x_nodes, row)]
+        buf = io.StringIO(newline="")
+        cli._write_csv(buf, ("seed", "t", "x", "u"), rows)
+        written = (Path(doc["outputs"]["dir"]) / "snapshots.csv").read_bytes()
+        assert written == buf.getvalue().encode()
 
     def test_schema_rejects_missing_outputs(self, tmp_path):
         path, doc = self.sim_config(tmp_path)

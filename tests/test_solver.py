@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.fft import next_fast_len
+from scipy.linalg import toeplitz
 from scipy.special import erf
 
 from levyheat import (
@@ -41,10 +44,12 @@ from levyheat.conv_calculus import (
     st_convolve,
 )
 from levyheat.errors import TruncationTooSmall
-from levyheat.levy_kernel import ROW_CHUNK
-from levyheat.solver import (_det_rows, _deterministic_distance_time,
-                             _flat_second_moment, build_lattice,
-                             check_truncation, x_centers)
+from levyheat.levy_kernel import ROW_CHUNK, bandlimited_rows
+from levyheat.solver import (FFT_MIN_NX, _det_rows,
+                             _deterministic_distance_time,
+                             _flat_second_moment, _propagators,
+                             build_lattice, check_truncation, march,
+                             x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -80,6 +85,37 @@ LONG_STEPS = 70
 def long_run():
     noise = sample_noise(0.01, 0.125, LONG_STEPS, 128, seed=11)
     return noise, evolve(BM, U0, PAM, noise, 0.01 * LONG_STEPS)
+
+
+# above FFT_MIN_NX, and 2 * 541 pads to the odd FFT length 1125
+WIDE_NX = 541
+
+
+@pytest.fixture(scope="module")
+def wide_run():
+    noise = sample_noise(0.01, 0.03125, LONG_STEPS, WIDE_NX, seed=11)
+    return noise, evolve(BM, U0, PAM, noise, 0.01 * LONG_STEPS)
+
+
+def dense_propagators(model, dt, dx, nx):
+    """P and K0 as the dense Toeplitz matrices of the BLAS march."""
+    rows = bandlimited_rows(model, dx, nx, [0.0, dt])
+    avg0 = bandlimited_rows(model, dx, nx, [0.0], dt_average=dt)[0]
+    return dx * toeplitz(rows[1]), toeplitz(avg0)
+
+
+def assert_restart_bit_exact(run, j0):
+    """A shorter fresh run is the head of the long one, and a restart from
+    it at step j0 reproduces the long run's tail, bit for bit."""
+    noise, full = run
+    part = evolve(BM, U0, PAM, noise, 0.01 * j0)
+    assert np.array_equal(part.grid.values, full.grid.values[:j0])
+    assert np.array_equal(part.noise_part, full.noise_part[:j0])
+    rest = evolve(BM, U0, PAM, shift_noise(noise, j0),
+                  0.01 * LONG_STEPS, from_field=part)
+    assert np.array_equal(rest.grid.t_nodes, full.grid.t_nodes[j0:])
+    assert np.array_equal(rest.grid.values, full.grid.values[j0:])
+    assert np.array_equal(rest.noise_part, full.noise_part[j0:])
 
 
 @pytest.fixture(scope="module")
@@ -187,15 +223,12 @@ class TestEvolve:
                                     ROW_CHUNK + 1, 2 * ROW_CHUNK,
                                     LONG_STEPS - 1])
     def test_restart_bit_exact(self, long_run, j0):
-        noise, full = long_run
-        part = evolve(BM, U0, PAM, noise, 0.01 * j0)
-        assert np.array_equal(part.grid.values, full.grid.values[:j0])
-        assert np.array_equal(part.noise_part, full.noise_part[:j0])
-        rest = evolve(BM, U0, PAM, shift_noise(noise, j0),
-                      0.01 * LONG_STEPS, from_field=part)
-        assert np.array_equal(rest.grid.t_nodes, full.grid.t_nodes[j0:])
-        assert np.array_equal(rest.grid.values, full.grid.values[j0:])
-        assert np.array_equal(rest.noise_part, full.noise_part[j0:])
+        assert_restart_bit_exact(long_run, j0)
+
+    @pytest.mark.parametrize("j0", [1, ROW_CHUNK, LONG_STEPS - 1])
+    def test_restart_bit_exact_circulant(self, wide_run, j0):
+        assert WIDE_NX >= FFT_MIN_NX and next_fast_len(2 * WIDE_NX) % 2
+        assert_restart_bit_exact(wide_run, j0)
 
     def test_off_lattice_continuation_rejected(self):
         noise = sample_noise(0.01, 0.125, 20, 64, seed=2)
@@ -275,6 +308,55 @@ class TestEvolve:
         noise = sample_noise(1e-4, 0.1, 10, 16, seed=0)
         with pytest.warns(UserWarning, match="refinement"):
             evolve(BM, U0, PAM, noise, 1e-3)
+
+
+class TestPropagators:
+    @pytest.mark.parametrize("nx", [FFT_MIN_NX, WIDE_NX])
+    @pytest.mark.parametrize("model", [BM, stable(1.5)],
+                             ids=["brownian", "stable"])
+    def test_circulant_step_matches_dense(self, model, nx):
+        dt, dx = 0.01, 0.05
+        step = _propagators(model, dt, dx, nx)
+        p, k0 = dense_propagators(model, dt, dx, nx)
+        # 3 seeds by 4 starts, as march batches them
+        v, shot = np.random.default_rng(nx).standard_normal((2, 3, 4, nx))
+        for got, ref in [(step(v, shot), v @ p + shot @ k0),
+                         (step(v), v @ p)]:
+            assert got.shape == ref.shape
+            scale = np.abs(ref).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_dense_march_below_threshold_is_the_matrix_product(self):
+        nx, dt, dx = 256, 0.01, 0.0625
+        assert nx < FFT_MIN_NX
+        lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, steps=range(1, 11),
+                            shifts=[0.0, 0.05])
+        noise = np.array([sample_noise(dt, dx, 10, nx, s).increments
+                          for s in range(3)])
+        got = []
+        march(lat, PAM, noise, lambda j, u, v: got.append(v.copy()))
+        # the march loop with P and K0 as explicit matrices
+        p, k0 = dense_propagators(BM, dt, dx, nx)
+        v = np.zeros((6, nx))
+        u = np.broadcast_to(lat.det[:, 0], (3, 2, nx))
+        ref = [v.reshape(3, 2, nx)]
+        for j in range(1, 10):
+            shot = PAM.apply(u) * noise[:, None, j]
+            v = v @ p + shot.reshape(6, nx) @ k0
+            u = lat.det[:, j] + v.reshape(3, 2, nx)
+            ref.append(v.reshape(3, 2, nx))
+        assert np.array_equal(np.array(got), np.array(ref))
+
+    def test_no_square_array_above_threshold(self):
+        nx = 2048
+        tracemalloc.start()
+        try:
+            step = _propagators(BM, 0.01, 16.0 / nx, nx)
+            step(np.ones((4, nx)), np.ones((4, nx)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nx * nx  # an nx x nx float array takes 8 nx^2 bytes
 
 
 class TestPicard:
