@@ -251,7 +251,7 @@ def _scan_grid(u0, scale: float, width_scales: float = 12.0,
 
 
 def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
-                 t_dyadic, k: float, *, n_seeds: int = 400,
+                 t_dyadic, k: float, *, seeds=400,
                  dt: float | None = None, half_width: float | None = None,
                  nx: int | None = None, batch: int = 24,
                  threads: int | None = None,
@@ -265,7 +265,7 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 
     * sigma = 0: the norm is (p_t*u0)(x) itself, evaluated by quadrature;
     * linear sigma and k = 2: the deterministic second-moment fixed point;
-    * otherwise: a Monte Carlo ensemble (n_seeds, dt, nx, half_width), with
+    * otherwise: a Monte Carlo ensemble (seeds, dt, nx, half_width), with
       defaults sized from the smallest requested time.
     """
     alpha = _alpha_of(model)
@@ -303,7 +303,7 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
             nx = int(math.ceil(2.0 * half_width / dx_cap))
         x_nodes, rows = _ensemble_rows(
             model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-            t_probes=ts[::-1], seeds=n_seeds, batch=batch, threads=threads,
+            t_probes=ts[::-1], seeds=seeds, batch=batch, threads=threads,
             spec=spec, max_cells=max_cells)
         pow_mean = np.mean(np.abs(rows) ** k, axis=0)  # (n_probes, nx)
         sup[:] = np.max(pow_mean, axis=1)[::-1] ** (1.0 / k)

@@ -292,7 +292,7 @@ def _run_claims(cfg: ExperimentConfig):
         model, u0, sigma,
         dt=cfg.grid["dt"], nx=_grid_cells(cfg.grid),
         half_width=cfg.grid["L"], t_end=cfg.grid["t_end"],
-        seed_list=cfg.seeds,
+        seeds=cfg.seeds,
         t_probes=_derived_t_probes(cfg.grid),
         x_probes=_derived_x_probes(cfg.grid), ks=ks)
     verdicts = [CLAIM_REGISTRY[c].check(model, u0, sigma, table, cfg)
@@ -353,10 +353,11 @@ def _canonical_bytes(doc) -> bytes:
                       ensure_ascii=True).encode()
 
 
-def _manifest_doc(cfg: ExperimentConfig, files: dict) -> dict:
+def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
+    """Config hash, tool and library versions, seeds and output files."""
     import scipy
     return {
-        "config_sha256": hashlib.sha256(_canonical_bytes(cfg.doc)).hexdigest(),
+        "config_sha256": hashlib.sha256(_canonical_bytes(doc)).hexdigest(),
         "tool": {"name": "levyheat", "version": __version__},
         "libraries": {
             "python": platform.python_version(),
@@ -364,9 +365,8 @@ def _manifest_doc(cfg: ExperimentConfig, files: dict) -> dict:
             "scipy": scipy.__version__,
             "jsonschema": importlib.metadata.version("jsonschema"),
         },
-        "seeds": list(cfg.seeds),
-        "claims": list(cfg.claims),
-        "replicas": len(cfg.seeds),
+        "seeds": list(seeds),
+        "replicas": len(seeds),
         "files": files,
     }
 
@@ -392,7 +392,9 @@ def run(config_path) -> int:
     if table is not None:
         files["moments"] = "moments.csv"
         files["verdicts"] = "verdicts.csv"
-    _write_manifest(outdir / "manifest.json", _manifest_doc(cfg, files))
+    _write_manifest(outdir / "manifest.json",
+                    dict(_manifest_doc(cfg.doc, cfg.seeds, files),
+                         claims=list(cfg.claims)))
     if table is not None:
         with open(outdir / "moments.csv", "w", encoding="utf-8",
                   newline="") as fh:
@@ -483,7 +485,7 @@ def simulate(config_path) -> int:
     # one march serves both outputs, to max(t_end, last snapshot time)
     table = mc_moments(
         model, u0, sigma, dt=grid["dt"], nx=nx, half_width=grid["L"],
-        t_end=grid["t_end"], seed_list=seeds, t_probes=t_probes,
+        t_end=grid["t_end"], seeds=seeds, t_probes=t_probes,
         x_probes=x_probes, ks=ks, snapshot_times=snap_times)
 
     outdir = Path(out["dir"])
@@ -494,15 +496,9 @@ def simulate(config_path) -> int:
             seeds, snap_times, table.lattice.x_nodes, table.snapshots))
     with open(outdir / "moments.csv", "w", encoding="utf-8", newline="") as fh:
         write_moments_csv(fh, table)
-    manifest = {
-        "config_sha256": hashlib.sha256(_canonical_bytes(doc)).hexdigest(),
-        "tool": {"name": "levyheat", "version": __version__},
-        "seeds": seeds,
-        "replicas": len(seeds),
-        "files": {"snapshots": "snapshots.csv", "moments": "moments.csv",
-                  "manifest": "manifest.json"},
-    }
-    _write_manifest(outdir / "manifest.json", manifest)
+    _write_manifest(outdir / "manifest.json", _manifest_doc(
+        doc, seeds, {"snapshots": "snapshots.csv", "moments": "moments.csv",
+                     "manifest": "manifest.json"}))
     return EXIT_OK
 
 

@@ -9,6 +9,8 @@ power grading of theta handles the stronger stable-law singularities.
 Rows narrower than the lattice spacing (the kernel squared at tiny times)
 cannot be sampled pointwise; below the resolvable time they are replaced by
 mass-correct lattice spikes, which is exact in the convolution limit.
+``smoothed_squared_grid`` tabulates ((p_t * u0)(x))^2 this way; the table
+of the squared kernel p_t(x)^2 is its u0 = delta() case.
 
 ``st_convolve`` is the one theta-rule loop over table rows.  Each table row
 is transformed once (rfft, zero-padded to the linear-convolution length);
@@ -38,7 +40,8 @@ from .levy_kernel import (
     p0_integral,
     theta_estimate,
 )
-from .measure_init import FiniteMeasure, heat_convolve_many, heat_convolve_rows
+from .measure_init import (FiniteMeasure, delta, heat_convolve_many,
+                           heat_convolve_rows)
 
 
 @dataclass(frozen=True)
@@ -149,50 +152,22 @@ def _resolvable_time(model: KernelModel, dx: float) -> float:
     return width ** 2  # conservative default for tabulated exponents
 
 
-def _spike_masses(model: KernelModel, t_nodes, x_nodes, spec):
-    """Mask of the rows too narrow to sample, and p_{2t}(0) at them."""
-    small = t_nodes < _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
-    return small, _fourier_rows(model, 2.0 * t_nodes[small], [0.0], spec)[:, 0]
-
-
-def kernel_squared_grid(model: KernelModel, t_nodes, x_nodes,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> SpaceTimeGrid:
-    """Rows of p_t(x)^2; sub-lattice times become mass p_{2t}(0) spikes."""
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    small, p2 = _spike_masses(model, t_nodes, x_nodes, spec)
-    rows = np.zeros((t_nodes.size, x_nodes.size))
-    rows[~small] = _fourier_rows(model, t_nodes[~small], x_nodes, spec) ** 2
-    rows[small, np.argmin(np.abs(x_nodes))] = p2 / (x_nodes[1] - x_nodes[0])
-    return SpaceTimeGrid(t_nodes, x_nodes, rows)
-
-
-def kernel_grid(model: KernelModel, t_nodes, x_nodes,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> SpaceTimeGrid:
-    """Rows of p_t(x); sub-lattice times become unit-mass spikes."""
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    small = t_nodes < _resolvable_time(model, float(x_nodes[1] - x_nodes[0]))
-    rows = np.zeros((t_nodes.size, x_nodes.size))
-    rows[~small] = np.maximum(
-        _fourier_rows(model, t_nodes[~small], x_nodes, spec), 0.0)
-    rows[small, np.argmin(np.abs(x_nodes))] = 1.0 / (x_nodes[1] - x_nodes[0])
-    return SpaceTimeGrid(t_nodes, x_nodes, rows)
-
-
 def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
                           x_nodes,
                           spec: QuadratureSpec = DEFAULT_SPEC) -> SpaceTimeGrid:
-    """Rows of ((p_t * u0)(x))^2 with the same sub-lattice spike handling.
+    """Rows of ((p_t * u0)(x))^2; sub-lattice times become spikes.
 
     Below the resolvable time the atom part concentrates: its square
     integrates to sum_i m_i^2 p_{2t}(0) (cross terms and the density part
-    are bounded there and carry vanishing squared mass).
+    are bounded there and carry vanishing squared mass).  With u0 = delta()
+    these are the rows of p_t(x)^2, the kernel table of the lemma checks
+    and of the continuum oracle.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
     dx = float(x_nodes[1] - x_nodes[0])
-    small, p2 = _spike_masses(model, t_nodes, x_nodes, spec)
+    small = t_nodes < _resolvable_time(model, dx)
+    p2 = _fourier_rows(model, 2.0 * t_nodes[small], [0.0], spec)[:, 0]
     rows = np.zeros((t_nodes.size, x_nodes.size))
     rows[~small] = heat_convolve_rows(model, u0, t_nodes[~small], x_nodes,
                                       spec) ** 2
@@ -268,22 +243,6 @@ def check_lemma_pp(model: KernelModel, t: float, theta: float | None = None,
     return lower, mid, 2.0 * th * lower
 
 
-def nfold_kernel_squared(model: KernelModel, n: int, t_targets, x_nodes,
-                         t_table=None,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> list[SpaceTimeGrid]:
-    """Grids of the n-fold convolution power of p^2; returns levels 1..n."""
-    if not 1 <= n <= 4:
-        raise ValueError("nested convolutions are supported for n in 1..4")
-    t_targets = np.atleast_1d(np.asarray(t_targets, dtype=float))
-    if t_table is None:
-        t_table = graded_times(float(t_targets.max()), include=t_targets)
-    base = kernel_squared_grid(model, t_table, x_nodes, spec)
-    levels = [base]
-    for _ in range(n - 1):
-        levels.append(st_convolve(base, levels[-1]))
-    return levels
-
-
 def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
                            t_values, x_values, theta: float | None = None,
                            spec: QuadratureSpec = DEFAULT_SPEC):
@@ -303,7 +262,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
     x_nodes = _window_nodes(model, u0, t_values, x_values)
     t_table = graded_times(float(t_values.max()), include=t_values)
     seed = smoothed_squared_grid(model, u0, t_table, x_nodes, spec)
-    kern = kernel_squared_grid(model, t_table, x_nodes, spec)
+    kern = smoothed_squared_grid(model, delta(), t_table, x_nodes, spec)
     idx = np.searchsorted(t_table, t_values)
     lhs = np.empty((n_levels, t_values.size, x_values.size))
     rhs = np.empty_like(lhs)

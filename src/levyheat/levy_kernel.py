@@ -335,52 +335,6 @@ def upsilon_eval(model: KernelModel, beta: float,
     return float(core + _upsilon_tail(model, beta, cutoff)) / math.pi
 
 
-def upsilon_bar_time(model: KernelModel, beta: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """int_0^inf exp(-beta t) p_t(0) dt by direct time quadrature.
-
-    Deliberately routed through per-t density evaluations so it is an
-    independent cross-check of upsilon_eval (resolvent_identity_check).
-    """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    # Graded power mesh near 0 absorbs the t^{-1/alpha} blowup of p_t(0);
-    # geometric panels carry the exponential tail out to negligible mass.
-    if model.kind == "brownian":
-        alpha_like = 2.0
-    elif model.kind == "stable":
-        alpha_like = model.alpha
-    else:
-        alpha_like = _tabulated_tail_power(model)[0]
-    grade = max(3, int(math.ceil(2.0 * alpha_like / (alpha_like - 1.0))))
-    t_knee = 1.0 / beta
-    z, w = _gauss_rule(48)
-    u = 0.5 * (z + 1.0)
-    uw = 0.5 * w
-    # [0, t_knee]: t = t_knee * u^grade
-    t_lo = t_knee * u ** grade
-    w_lo = uw * t_knee * grade * u ** (grade - 1)
-    # [t_knee, T]: geometric panels until exp(-beta t) kills the integrand
-    t_hi_panels, w_hi_panels = [], []
-    a = t_knee
-    while beta * a < 45.0:
-        b = 2.0 * a
-        t_hi_panels.append(0.5 * (b - a) * (z + 1.0) + a)
-        w_hi_panels.append(0.5 * (b - a) * w)
-        a = b
-    ts = np.concatenate([t_lo] + t_hi_panels)
-    ws = np.concatenate([w_lo] + w_hi_panels)
-    vals = np.array([p0_eval(model, float(t), spec) for t in ts])
-    return float(ws @ (np.exp(-beta * ts) * vals))
-
-
-def resolvent_identity_check(model: KernelModel, beta: float,
-                             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """|upsilon(beta) - (1/2) int exp(-(beta/2) t) p_t(0) dt| residual."""
-    return abs(upsilon_eval(model, beta, spec)
-               - 0.5 * upsilon_bar_time(model, beta / 2.0, spec))
-
-
 def theta_estimate(model: KernelModel, t_grid=None,
                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """sup over t of p_{t/2}(0) / p_t(0), scanned on a log grid.

@@ -125,12 +125,6 @@ def heat_convolve_many(model: KernelModel, u0: FiniteMeasure, t: float, xs,
                          u0.data_radius)[0]
 
 
-def heat_convolve(model: KernelModel, u0: FiniteMeasure, t: float, x: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """(p_t * u0)(x) = int p_t(x - y) u0(dy)."""
-    return float(heat_convolve_many(model, u0, t, [x], spec)[0])
-
-
 def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts, xs,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """(p_t * u0)(x) rows over an array of times, one xi rule per call.
@@ -159,19 +153,6 @@ def make_positive_definite_example(a: float) -> FiniteMeasure:
     vals = vals / np.trapezoid(vals, grid)  # unit mass exactly, in trapezoid arithmetic
     return FiniteMeasure(atoms=((0.0, a),), density_grid=grid,
                          density_values=vals, support_radius=10.0)
-
-
-def measure_to_json(u0: FiniteMeasure) -> str:
-    doc = {
-        "atoms": [[y, m] for y, m in u0.atoms],
-        "support_radius": u0.support_radius,
-    }
-    if u0.density_grid is not None:
-        doc["density"] = {
-            "grid": u0.density_grid.tolist(),
-            "values": u0.density_values.tolist(),
-        }
-    return json.dumps(doc)
 
 
 def measure_from_json(text_or_doc) -> FiniteMeasure:

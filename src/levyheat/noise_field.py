@@ -5,12 +5,11 @@ an independent Normal(0, dt*dx) draw. Cells are addressed by a counter-based
 generator keyed on the seed, so any row can be produced without generating
 its predecessors: cell q = i*nx + j consumes raw word q of the keyed Philox
 stream (each counter block carries four 64-bit words). This makes restart
-suffixes, streaming generation, and the full matrix agree bit-exactly.
+suffixes, single rows (noise_row) and the full matrix agree bit-exactly.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +18,6 @@ from scipy.special import ndtri
 from .errors import AllocationLimit, OffsetOutOfRange
 
 MAX_CELLS = 1 << 26  # ~0.5 GiB of float64 increments
-
-_HEADER = struct.Struct("<4sIIddQ")
-_MAGIC = b"LHN1"
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def _check_budget(n_cells: int, max_cells: int):
     if n_cells > max_cells:
         raise AllocationLimit(
             f"{n_cells} noise cells exceed the budget of {max_cells}; "
-            "use the streaming row generator instead")
+            "generate rows one at a time with noise_row instead")
 
 
 def sample_noise(dt: float, dx: float, nt: int, nx: int, seed: int,
@@ -95,13 +91,6 @@ def noise_row(dt: float, dx: float, nx: int, seed: int, i: int,
     return _raw_to_normal(raw, float(np.sqrt(dt * dx)))
 
 
-def iter_noise_rows(dt: float, dx: float, nt: int, nx: int, seed: int,
-                    start_row: int = 0, t0_cells: int = 0):
-    """Generator of rows start_row..nt-1 with O(nx) memory."""
-    for i in range(start_row, nt):
-        yield noise_row(dt, dx, nx, seed, i, t0_cells)
-
-
 def shift_noise(n: NoiseLattice, t_offset_cells: int) -> NoiseLattice:
     """Suffix lattice starting t_offset_cells rows in (restart harness)."""
     if not 0 <= t_offset_cells < n.nt:
@@ -111,29 +100,3 @@ def shift_noise(n: NoiseLattice, t_offset_cells: int) -> NoiseLattice:
                         n.increments[t_offset_cells:].copy(),
                         n.t0_cells + t_offset_cells)
 
-
-def dump_noise(n: NoiseLattice, path):
-    """Binary dump: header {magic, nt, nx, dt, dx, seed}, row-major float64.
-
-    Only unshifted lattices round-trip (the header has no origin field).
-    """
-    if n.t0_cells != 0:
-        raise ValueError("only unshifted lattices can be dumped")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, n.nt, n.nx, n.dt, n.dx, n.seed))
-        fh.write(np.ascontiguousarray(n.increments, dtype="<f8").tobytes())
-
-
-def load_noise(path) -> NoiseLattice:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError("truncated noise dump header")
-        magic, nt, nx, dt, dx, seed = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError("not a noise dump (bad magic)")
-        payload = fh.read(nt * nx * 8)
-    if len(payload) != nt * nx * 8:
-        raise ValueError("truncated noise dump payload")
-    inc = np.frombuffer(payload, dtype="<f8").reshape(nt, nx).copy()
-    return NoiseLattice(dt, dx, nt, nx, seed, inc)

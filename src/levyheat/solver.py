@@ -53,15 +53,15 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 
 from .conv_calculus import (SpaceTimeGrid, _theta_rule, _window_nodes,
-                            graded_times, kernel_squared_grid,
-                            smoothed_squared_grid, st_convolve)
+                            graded_times, smoothed_squared_grid, st_convolve)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
 from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
                           QuadratureSpec, _fourier_rows, _upsilon_tail,
                           _xi_rule, bandlimited_rows, exterior_mass, frak_T,
                           gamma_k, p0_eval, psi_eval, upsilon_eval)
-from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
+from .measure_init import (FiniteMeasure, delta, fourier_u0,
+                           heat_convolve_rows)
 from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
 
 __all__ = [
@@ -693,7 +693,7 @@ def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
     x_out = np.asarray(x_out, dtype=float)
     x_int = _window_nodes(model, u0, t_targets, x_out)
     tbl = graded_times(float(t_targets[-1]), n=88, include=t_targets)
-    kern = kernel_squared_grid(model, tbl, x_int, spec)
+    kern = smoothed_squared_grid(model, delta(), tbl, x_int, spec)
     seed = smoothed_squared_grid(model, u0, tbl, x_int, spec)
     lam2 = lam * lam
     s1 = SpaceTimeGrid(tbl, x_int, lam2 * st_convolve(kern, seed).values)
@@ -787,16 +787,15 @@ def growth_envelope(exponent: float, shape):
 
 def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
                dt: float, nx: int, half_width: float, t_end: float,
-               n_seeds: int | None = None, t_probes, x_probes, ks=(1, 2),
-               seed0: int = 0, seed_list=None, snapshot_times=(),
+               seeds, t_probes, x_probes, ks=(1, 2), snapshot_times=(),
                batch: int = 24, threads: int | None = None,
                spec: QuadratureSpec = DEFAULT_SPEC,
                max_cells: int = MAX_CELLS) -> MomentTable:
     """Ensemble moment estimates at probe points, with theory columns.
 
-    Marches independent timestep paths, one per seed (contiguous
-    seed0..seed0+n_seeds-1, or exactly the ints in seed_list), and
-    accumulates power sums of |u| at every (t_probe, x_probe, k).
+    Marches independent timestep paths, one per seed (an int n means
+    seeds 0..n-1, a list its ints; see seed_ids), and accumulates power
+    sums of |u| at every (t_probe, x_probe, k).
     x probes snap to the nearest cell center and the snapped coordinate is
     what lands in the table.  Replicas run in parallel over seed chunks;
     the reduction is in fixed chunk order, so results do not depend on
@@ -804,10 +803,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     at those times, from the same march (table.snapshots); the march then
     runs to the later of t_end and the last snapshot time.
     """
-    if (n_seeds is None) == (seed_list is None):
-        raise ValueError("give exactly one of n_seeds or seed_list")
-    seeds = (list(range(seed0, seed0 + n_seeds)) if seed_list is None
-             else [int(s) for s in seed_list])
+    seeds = seed_ids(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     steps = step_numbers(t_end, dt, "t_end")[0]

@@ -135,9 +135,9 @@ class TestExistUniqueBound:
 
     def test_mc_grid_passes_with_disjoint_split(self):
         tab = mc_moments(BM, U0, PAM, dt=0.01, nx=256, half_width=8.0,
-                         t_end=0.5, n_seeds=1200,
+                         t_end=0.5, seeds=1200,
                          t_probes=[0.1, 0.2, 0.3, 0.4, 0.5],
-                         x_probes=[0.0, 0.5], ks=(2,), seed0=0)
+                         x_probes=[0.0, 0.5], ks=(2,))
         v = check_exist_unique_bound(tab, BM, U0, 2.0, 0.1, lip=1.0)
         assert v.passed
         assert v.metadata["failures"] == []
@@ -154,7 +154,7 @@ class TestExistUniqueBound:
         with pytest.warns(UserWarning, match="refinement"):
             tab = mc_moments(brownian(), delta(), sigma_linear(1), dt=0.25,
                              nx=160, half_width=80, t_end=16, ks=(4,),
-                             n_seeds=2, t_probes=[16.0], x_probes=[0.0])
+                             seeds=2, t_probes=[16.0], x_probes=[0.0])
         assert np.all(np.isinf(tab.bound_exist_unique))
         v = check_exist_unique_bound(tab, BM, U0, 4.0, 0.1, lip=1.0)
         assert not math.isnan(v.lhs) and not math.isnan(v.rhs)
@@ -205,7 +205,7 @@ class TestSmallTScan:
     def test_mc_route_bounded(self):
         vals, slope = small_t_scan(BM, U0, sigma_saturating(1.0, 2.0),
                                    np.array([0.2, 0.1, 0.05]), 2,
-                                   n_seeds=200)
+                                   seeds=200)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
         assert np.all(np.abs(vals / BASELINE - 1.0) < 0.25)
         assert slope < 0
@@ -244,10 +244,10 @@ class TestTailDecayFit:
 
     def test_k6_pam_negative_with_margin(self):
         tab = mc_moments(BM, U0, PAM, dt=0.01, nx=256, half_width=8.0,
-                         t_end=0.3, n_seeds=800, t_probes=[0.3],
+                         t_end=0.3, seeds=800, t_probes=[0.3],
                          x_probes=[-3.0, -2.5, -2.0, -1.5,
                                    1.5, 2.0, 2.5, 3.0],
-                         ks=(6,), seed0=0)
+                         ks=(6,))
         slope = tail_decay_fit(tab, 0.0)
         assert slope < 0
         # lifting every row to its 3-se ceiling keeps the decay visible
@@ -377,9 +377,9 @@ class TestLyapunovFit:
     def test_intermittency_ordering(self):
         sig = sigma_linear(1.6)
         tab = mc_moments(BM, box_measure(), sig, dt=0.01, nx=512,
-                         half_width=16.0, t_end=1.2, n_seeds=2000,
+                         half_width=16.0, t_end=1.2, seeds=2000,
                          t_probes=np.arange(0.3, 1.21, 0.1),
-                         x_probes=[0.0], ks=(2, 4), seed0=0)
+                         x_probes=[0.0], ks=(2, 4))
         lo2, hi2 = lyapunov_fit(slice_table(tab, np.isclose(tab.k, 2.0)), 2.0)
         lo4, hi4 = lyapunov_fit(slice_table(tab, np.isclose(tab.k, 4.0)), 4.0)
         assert 0.0 < lo2 and 0.0 < lo4

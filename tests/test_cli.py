@@ -207,7 +207,7 @@ class TestRunCommand:
         table = mc_moments(
             brownian(1.0), delta(), sigma_linear(1.0),
             dt=grid["dt"], nx=cli._grid_cells(grid), half_width=grid["L"],
-            t_end=grid["t_end"], seed_list=doc["seeds"],
+            t_end=grid["t_end"], seeds=doc["seeds"],
             t_probes=cli._derived_t_probes(grid),
             x_probes=cli._derived_x_probes(grid), ks=[2.0])
         assert len(rows) == table.t.size
@@ -360,6 +360,12 @@ class TestSimulateCommand:
         moments = read_csv(Path(doc["outputs"]["dir"]) / "moments.csv")
         assert len(moments) == 3
         assert all(float(r["raw_moment"]) > 0 for r in moments)
+        # the run manifest's fields, claims aside
+        manifest = json.loads(
+            (Path(doc["outputs"]["dir"]) / "manifest.json").read_text())
+        assert set(manifest) == {"config_sha256", "tool", "libraries",
+                                 "seeds", "replicas", "files"}
+        assert manifest["seeds"] == [0, 1, 2]
 
     def test_off_lattice_snapshot_time_exits_64(self, tmp_path):
         path, _ = self.sim_config(
@@ -417,7 +423,7 @@ class TestSimulateCommand:
                               "t_probes": [0.5], "ks": [1]})
         assert main(["simulate", str(path)]) == 0
         tab = mc_moments(brownian(1.0), delta(), sigma_linear(1.0), dt=0.01,
-                         nx=128, half_width=8.0, t_end=1, seed_list=[5, 2],
+                         nx=128, half_width=8.0, t_end=1, seeds=[5, 2],
                          t_probes=[0.5], x_probes=[0.0], ks=[1],
                          snapshot_times=[0.5, 1])
         rows = [(seed, float(t), float(x), float(u))

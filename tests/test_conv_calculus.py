@@ -10,8 +10,6 @@ from levyheat import (
     QuadratureSpec,
     brownian,
     delta,
-    p0_eval,
-    p0_integral,
     p_eval,
     p_eval_many,
     stable,
@@ -26,9 +24,6 @@ from levyheat.conv_calculus import (
     check_lemma_star2,
     check_lemma_star2_grid,
     graded_times,
-    kernel_grid,
-    kernel_squared_grid,
-    nfold_kernel_squared,
     smoothed_squared_grid,
     st_convolve,
     time_convolve_at_origin,
@@ -164,7 +159,14 @@ class TestStConvolve:
         # (p (*) p)_t(x) = t p_t(x) by Chapman-Kolmogorov
         x_nodes = np.linspace(-6.0, 6.0, 601)
         t_table = graded_times(0.2, n=64, include=[0.08, 0.2])
-        pg = kernel_grid(BM, t_table, x_nodes)
+        # p rows, with a unit-mass spike at times below the resolvable one
+        dx = x_nodes[1] - x_nodes[0]
+        small = t_table < _resolvable_time(BM, dx)
+        rows = np.zeros((t_table.size, x_nodes.size))
+        for i in np.flatnonzero(~small):
+            rows[i] = np.maximum(p_eval_many(BM, t_table[i], x_nodes), 0.0)
+        rows[small, np.argmin(np.abs(x_nodes))] = 1.0 / dx
+        pg = SpaceTimeGrid(t_table, x_nodes, rows)
         out = st_convolve(pg, pg)
         for t in (0.08, 0.2):
             i = int(np.searchsorted(t_table, t))
@@ -190,44 +192,6 @@ class TestStConvolve:
         low = st_convolve(f, g)
         high = st_convolve(bigger, g)
         assert np.all(high.values >= low.values - 1e-15)
-
-
-class TestKernelPowers:
-    def test_closed_forms(self):
-        t0 = 0.1
-        x_nodes = np.linspace(-6.0, 6.0, 1201)
-        levels = nfold_kernel_squared(BM, 3, [t0], x_nodes)
-        tt = levels[0].t_nodes
-        i = int(np.searchsorted(tt, t0))
-        j0 = 600
-        j1 = 700  # x = 1.0
-        assert_allclose(levels[0].values[i, j0], p_eval(BM, t0, 0.0) ** 2,
-                        rtol=1e-10)
-        assert_allclose(levels[1].values[i, j0], p_eval(BM, t0 / 2, 0.0) / 4,
-                        rtol=1.5e-2)
-        assert_allclose(levels[1].values[i, j1], p_eval(BM, t0 / 2, 1.0) / 4,
-                        rtol=1.5e-2)
-        want3 = math.sqrt(t0 / math.pi) * p_eval(BM, t0 / 2, 0.0) / 4
-        assert_allclose(levels[2].values[i, j0], want3, rtol=1.5e-2)
-
-    def test_star_bound_rows(self):
-        # n-fold squared kernel vs (2 Theta int p)^{n-1} p_t(0) p_t(x)
-        t0 = 0.1
-        th = theta_estimate(BM)
-        x_nodes = np.linspace(-6.0, 6.0, 1201)
-        levels = nfold_kernel_squared(BM, 3, [t0], x_nodes)
-        i = int(np.searchsorted(levels[0].t_nodes, t0))
-        p_row = np.maximum(p_eval_many(BM, t0, x_nodes), 0.0)
-        factor = 2.0 * th * p0_integral(BM, t0)
-        for n, grid in enumerate(levels, start=1):
-            bound = factor ** (n - 1) * p0_eval(BM, t0) * p_row
-            assert np.all(grid.values[i] <= bound * 1.01 + 1e-12)
-
-    def test_n_range(self):
-        with pytest.raises(ValueError):
-            nfold_kernel_squared(BM, 5, [0.1], np.linspace(-1, 1, 33))
-        with pytest.raises(ValueError):
-            nfold_kernel_squared(BM, 0, [0.1], np.linspace(-1, 1, 33))
 
 
 def off_centre_measure():
@@ -270,8 +234,7 @@ class TestBatchedRows:
         p2 = per_time_rows(model, delta(), 2.0 * ts[small], [0.0], self.spec)
         ref = np.zeros((ts.size, x.size))
         ref[~small] = per_time_rows(model, delta(), ts[~small], x, self.spec)
-        want = {"kernel": np.maximum(ref, 0.0), "squared": ref ** 2}
-        want["kernel"][small, j0] = 1.0 / dx
+        want = {"squared": ref ** 2}
         want["squared"][small, j0] = p2[:, 0] / dx
         u0 = off_centre_measure()
         want["smoothed"] = np.zeros_like(ref)
@@ -285,8 +248,8 @@ class TestBatchedRows:
         for y, m in u0.atoms:
             want["smoothed"][small, np.argmin(np.abs(x - y))] += \
                 m * m * p2[:, 0] / dx
-        got = {"kernel": kernel_grid(model, ts, x, self.spec),
-               "squared": kernel_squared_grid(model, ts, x, self.spec),
+        got = {"squared": smoothed_squared_grid(model, delta(), ts, x,
+                                                self.spec),
                "smoothed": smoothed_squared_grid(model, u0, ts, x, self.spec)}
         for name, grid in got.items():
             err = np.abs(grid.values - want[name]).max(axis=1)
@@ -307,7 +270,7 @@ class TestBatchedRows:
         def count(n):
             builds.clear()
             ts = graded_times(0.3, n=n)
-            kernel_squared_grid(BM, ts, self.x)
+            smoothed_squared_grid(BM, delta(), ts, self.x)
             smoothed_squared_grid(BM, off_centre_measure(), ts, self.x)
             return len(builds)
 
@@ -330,7 +293,7 @@ class TestLemmaStar2:
         # sigma == 0 analogue: a zero seed stays zero under convolution
         x_nodes = np.linspace(-4.0, 4.0, 257)
         t_table = graded_times(0.1, n=48)
-        kern = kernel_squared_grid(BM, t_table, x_nodes)
+        kern = smoothed_squared_grid(BM, delta(), t_table, x_nodes)
         zero = SpaceTimeGrid(t_table, x_nodes, np.zeros_like(kern.values))
         out = st_convolve(kern, zero)
         assert np.all(out.values == 0.0)
@@ -339,8 +302,18 @@ class TestLemmaStar2:
         x_nodes = np.linspace(-4.0, 4.0, 257)
         t_table = graded_times(0.3, n=24)
         seeded = smoothed_squared_grid(BM, delta(), t_table, x_nodes)
-        direct = kernel_squared_grid(BM, t_table, x_nodes)
-        assert_allclose(seeded.values, direct.values, rtol=1e-9, atol=1e-12)
+        # p_t(x)^2 = e^{-x^2/t} / (2 pi t); below the resolvable time a
+        # spike of mass p_{2t}(0) = (4 pi t)^{-1/2} at the origin
+        t = t_table[:, None]
+        want = np.exp(-x_nodes ** 2 / t) / (2.0 * math.pi * t)
+        dx = x_nodes[1] - x_nodes[0]
+        small = t_table < _resolvable_time(BM, dx)
+        assert small.any() and not small.all()
+        want[small] = 0.0
+        want[small, np.argmin(np.abs(x_nodes))] = \
+            1.0 / (np.sqrt(4.0 * math.pi * t_table[small]) * dx)
+        err = np.abs(seeded.values - want).max(axis=1)
+        assert np.all(err <= 1e-10 * want.max(axis=1))
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

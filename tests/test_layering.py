@@ -54,3 +54,16 @@ def test_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_all_lists_each_imported_name_once():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    names = levyheat.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == imported | {"__version__"}
+    scope = {}
+    exec("from levyheat import *", scope)
+    assert set(names) <= set(scope)

@@ -31,7 +31,6 @@ from levyheat import (
     p0_eval,
     p0_integral,
     psi_eval,
-    resolvent_identity_check,
     stable,
     tabulated,
     theta_estimate,
@@ -197,15 +196,6 @@ def test_resolvent_divergence_raised():
     # tabulated exponent growing like |xi| has a divergent resolvent too
     with pytest.raises(DivergentResolvent):
         upsilon_eval(cauchy_model(), 1.0)
-
-
-@pytest.mark.parametrize("beta", [1.0, 4.0])
-def test_resolvent_identity_brownian(beta):
-    assert resolvent_identity_check(brownian(), beta) < 1e-6
-
-
-def test_resolvent_identity_stable():
-    assert resolvent_identity_check(stable(1.5), 1.0) < 1e-4
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -4,9 +4,6 @@ import pytest
 from levyheat import AllocationLimit, OffsetOutOfRange
 from levyheat.noise_field import (
     NoiseLattice,
-    dump_noise,
-    iter_noise_rows,
-    load_noise,
     noise_row,
     sample_noise,
     shift_noise,
@@ -38,9 +35,8 @@ class TestDeterminism:
 
     def test_streaming_matches_matrix(self):
         full = sample_noise(0.1, 0.2, 7, 13, seed=99).increments
-        for i, row in enumerate(iter_noise_rows(0.1, 0.2, 7, 13, seed=99)):
-            assert np.array_equal(row, full[i])
-        assert np.array_equal(noise_row(0.1, 0.2, 13, 99, 3), full[3])
+        for i in range(7):
+            assert np.array_equal(noise_row(0.1, 0.2, 13, 99, i), full[i])
 
     def test_longer_run_shares_prefix(self):
         # counter addressing: extending nt must not disturb earlier rows
@@ -131,33 +127,3 @@ class TestLimitsAndIO:
             sample_noise(0.1, 0.2, 0, 4, seed=1)
         with pytest.raises(ValueError):
             NoiseLattice(0.1, 0.2, 2, 2, 1, np.zeros((3, 2)))
-
-    def test_dump_round_trip(self, tmp_path):
-        lat = sample_noise(0.25, 0.5, 9, 7, seed=1234)
-        path = tmp_path / "noise.bin"
-        dump_noise(lat, path)
-        # header is 36 bytes, payload 9*7 doubles
-        assert path.stat().st_size == 36 + 9 * 7 * 8
-        back = load_noise(path)
-        assert (back.dt, back.dx, back.nt, back.nx, back.seed) == \
-            (0.25, 0.5, 9, 7, 1234)
-        assert np.array_equal(back.increments, lat.increments)
-
-    def test_dump_rejects_shifted(self, tmp_path):
-        lat = shift_noise(sample_noise(0.1, 0.2, 6, 4, seed=5), 1)
-        with pytest.raises(ValueError):
-            dump_noise(lat, tmp_path / "x.bin")
-
-    def test_load_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_noise(path)
-
-    def test_load_rejects_truncation(self, tmp_path):
-        lat = sample_noise(0.25, 0.5, 9, 7, seed=1234)
-        path = tmp_path / "noise.bin"
-        dump_noise(lat, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError):
-            load_noise(path)

@@ -39,7 +39,6 @@ from levyheat import (
 from levyheat import levy_kernel
 from levyheat.conv_calculus import (
     graded_times,
-    kernel_squared_grid,
     smoothed_squared_grid,
     st_convolve,
 )
@@ -122,7 +121,7 @@ def assert_restart_bit_exact(run, j0):
 def mc_table():
     """1500-seed ensemble plus the matching scheme-exact oracle."""
     tab = mc_moments(BM, U0, PAM, dt=0.01, nx=128, half_width=6.0,
-                     t_end=0.3, n_seeds=1500, t_probes=[0.1, 0.3],
+                     t_end=0.3, seeds=1500, t_probes=[0.1, 0.3],
                      x_probes=[0.0, 0.5], ks=(1, 2))
     centers = -6.0 + (np.arange(128) + 0.5) * (12.0 / 128)
     orc = pam_second_moment_oracle(BM, U0, 1.0, 0.01 * np.arange(1, 31),
@@ -465,7 +464,7 @@ class TestOracle:
         tbl = graded_times(1.0, n=88, include=ts)
         x = np.linspace(-12.0, 12.0, 1025)
         ones = SpaceTimeGrid(tbl, x, np.ones((tbl.size, x.size)))
-        out = st_convolve(kernel_squared_grid(BM, tbl, x), ones,
+        out = st_convolve(smoothed_squared_grid(BM, delta(), tbl, x), ones,
                           feedback=lam * lam)
         got = 1.0 + lam * lam * out.values[np.searchsorted(tbl, ts), 512]
         assert_allclose(got, _flat_second_moment(BM, lam, ts), rtol=rtol)
@@ -484,7 +483,7 @@ class TestOracle:
 
         tbl = graded_times(0.3, n=80, include=ts)
         x_int = np.linspace(-10.0, 10.0, 2001)
-        conv = st_convolve(kernel_squared_grid(BM, tbl, x_int),
+        conv = st_convolve(smoothed_squared_grid(BM, delta(), tbl, x_int),
                            smoothed_squared_grid(BM, U0, tbl, x_int))
         for j, t in enumerate(ts):
             i = int(np.argmin(np.abs(tbl - t)))
@@ -549,7 +548,7 @@ class TestMcMoments:
             assert np.abs(centers - xv).min() < 1e-12
 
     def test_deterministic_and_thread_invariant(self):
-        kw = dict(dt=0.02, nx=64, half_width=4.0, t_end=0.1, n_seeds=50,
+        kw = dict(dt=0.02, nx=64, half_width=4.0, t_end=0.1, seeds=50,
                   t_probes=[0.1], x_probes=[0.0], ks=(2,))
         a = mc_moments(BM, U0, PAM, threads=1, **kw)
         b = mc_moments(BM, U0, PAM, threads=2, **kw)
@@ -558,8 +557,22 @@ class TestMcMoments:
         assert np.array_equal(b.estimate, c.estimate)
         assert np.array_equal(b.std_error, c.std_error)
 
+    def test_seed_count_is_the_seed_list_from_zero(self):
+        kw = dict(dt=0.02, nx=64, half_width=4.0, t_end=0.1,
+                  t_probes=[0.1], x_probes=[0.0, 0.5], ks=(1, 2),
+                  snapshot_times=[0.06])
+        a = mc_moments(BM, U0, PAM, seeds=3, **kw)
+        b = mc_moments(BM, U0, PAM, seeds=[0, 1, 2], **kw)
+        assert a.replicas == b.replicas == 3
+        for f in dataclasses.fields(a):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert va.tobytes() == vb.tobytes(), f.name
+        with pytest.raises(ValueError):
+            mc_moments(BM, U0, PAM, seeds=[], **kw)
+
     def test_repeated_probe_time_fills_every_slot(self):
-        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, n_seeds=4,
+        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, seeds=4,
                   x_probes=[0.0], ks=[2])
         twice = mc_moments(BM, U0, PAM, t_probes=[0.1, 0.1], **kw)
         once = mc_moments(BM, U0, PAM, t_probes=[0.1], **kw)
@@ -567,7 +580,7 @@ class TestMcMoments:
         assert twice.raw_moment[0] > 0
 
     def test_repeated_snapshot_time_fills_every_slot(self):
-        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, n_seeds=4,
+        kw = dict(dt=0.01, nx=128, half_width=8, t_end=0.1, seeds=4,
                   t_probes=[0.1], x_probes=[0.0], ks=[2])
         twice = mc_moments(BM, U0, PAM, snapshot_times=[0.05, 0.05], **kw)
         once = mc_moments(BM, U0, PAM, snapshot_times=[0.05], **kw)
