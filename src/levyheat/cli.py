@@ -37,8 +37,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import jsonschema
-from referencing import Registry, Resource
 
 from . import __version__
 from .analysis import BoundVerdict, check_exist_unique_bound
@@ -103,7 +101,12 @@ def _schema_doc(name: str) -> dict:
     return json.loads(text)
 
 
-def _validator(name: str) -> jsonschema.Draft202012Validator:
+# jsonschema and referencing are imported where a config is validated, so
+# `kernel`, `report` and `import levyheat` start without them.
+def _validator(name: str):
+    import jsonschema
+    from referencing import Registry, Resource
+
     docs = [Resource.from_contents(_schema_doc(n)) for n in _SCHEMA_FILES]
     registry = Registry().with_resources([(r.id(), r) for r in docs])
     return jsonschema.Draft202012Validator(_schema_doc(name),
@@ -111,6 +114,8 @@ def _validator(name: str) -> jsonschema.Draft202012Validator:
 
 
 def _validate_doc(doc, schema_name: str) -> None:
+    import jsonschema
+
     errors = list(_validator(schema_name).iter_errors(doc))
     if errors:
         best = jsonschema.exceptions.best_match(errors)

@@ -27,13 +27,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import GridMismatch
 from .levy_kernel import (
     DEFAULT_SPEC,
     KernelModel,
     QuadratureSpec,
+    _fast_len,
     _fourier_rows,
     _gauss_rule,
     p0_eval,
@@ -202,7 +203,7 @@ def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid,
     s_frac, wts = _theta_rule()
     ts = f.t_nodes
     nx = f.x_nodes.size
-    n_fft = next_fast_len(2 * nx - 1, real=True)
+    n_fft = _fast_len(2 * nx - 1, real=True)
     lo = (nx - 1) // 2
     fhat = rfft(f.values, n_fft, axis=1)
     ghat = rfft(g.values, n_fft, axis=1)

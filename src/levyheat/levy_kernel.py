@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import DivergentResolvent, NoRoot, QuadratureUnderresolved
 
@@ -425,6 +424,28 @@ def frak_T(model: KernelModel, k: float, lip: float, theta: float | None = None,
 # Band-limited lattice rows (shared by the solver and the moment oracle).
 # ---------------------------------------------------------------------------
 
+def _fast_len(n: int, real: bool = False) -> int:
+    """Smallest length >= n >= 1 whose prime factors are at most 11 (at
+    most 5 with real=True): the length scipy.fft.next_fast_len(n, real)
+    returns, so FFT lengths and bits match the scipy.fft calls."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    while True:
+        m = n
+        for p in primes:
+            while m > 1 and m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _dct1(e: np.ndarray) -> np.ndarray:
+    """Type-I DCT along the last axis, scipy.fft.dct(e, type=1) bit for
+    bit: the real part of the rfft of the even extension, which is the
+    transform pocketfft runs for it."""
+    return np.fft.rfft(np.concatenate([e, e[..., -2:0:-1]], axis=-1)).real
+
+
 def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
                      lag_times, dt_average: float | None = None,
                      oversample: int = 8) -> np.ndarray:
@@ -455,7 +476,7 @@ def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
         avg = np.where(a < 1e-12, 1.0 - 0.5 * a, -np.expm1(-a) / np.where(a > 0, a, 1.0))
         e = e * avg[None, :]
     h = nyquist / m
-    rows = dct(e, type=1, axis=1) * (0.5 * h / math.pi)
+    rows = _dct1(e) * (0.5 * h / math.pi)
     # one-sided O(h^2) estimate of dE/dxi at the Nyquist edge, per lag row
     de_end = (3.0 * e[:, -1] - 4.0 * e[:, -2] + e[:, -3]) / (2.0 * h)
     signs = np.where(np.arange(rows.shape[1]) % 2 == 0, 1.0, -1.0)

@@ -6,6 +6,9 @@ generator keyed on the seed, so any row can be produced without generating
 its predecessors: cell q = i*nx + j consumes raw word q of the keyed Philox
 stream (each counter block carries four 64-bit words). This makes restart
 suffixes, single rows (noise_row) and the full matrix agree bit-exactly.
+
+The normal quantile is scipy.special.ndtri, loaded on the first draw rather
+than with the package, so runs that never sample noise never import scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import AllocationLimit, OffsetOutOfRange
 
@@ -50,9 +52,19 @@ class NoiseLattice:
 
 
 def _raw_to_normal(raw: np.ndarray, scale: float) -> np.ndarray:
-    # top 53 bits -> uniform on (0,1), then the normal quantile
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u) * scale
+    # imported here, not at module level: scipy.special takes longer to
+    # load than numpy, and only noise sampling needs it
+    from scipy.special import ndtri
+
+    # top 53 bits -> uniform on (0,1), then the normal quantile; the all-ones
+    # word rounds to 1.0 (ndtri = inf), so clamp at the largest double below 1
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
+    ndtri(u, out=u)
+    u *= scale
+    return u
 
 
 def _check_budget(n_cells: int, max_cells: int):

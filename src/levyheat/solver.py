@@ -49,17 +49,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import toeplitz
+from numpy.fft import irfft, rfft
 
 from .conv_calculus import (SpaceTimeGrid, _theta_rule, _window_nodes,
                             graded_times, smoothed_squared_grid, st_convolve)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
 from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
-                          QuadratureSpec, _fourier_rows, _upsilon_tail,
-                          _xi_rule, bandlimited_rows, exterior_mass, frak_T,
-                          gamma_k, p0_eval, psi_eval, upsilon_eval)
+                          QuadratureSpec, _fast_len, _fourier_rows,
+                          _upsilon_tail, _xi_rule, bandlimited_rows,
+                          exterior_mass, frak_T, gamma_k, p0_eval, psi_eval,
+                          upsilon_eval)
 from .measure_init import (FiniteMeasure, delta, fourier_u0,
                            heat_convolve_rows)
 from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
@@ -306,6 +306,12 @@ def _circulant_spectra(rows: np.ndarray, n: int) -> np.ndarray:
     return rfft(cols, axis=-1)
 
 
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix T[a, b] = r[|a - b|]."""
+    lag = np.arange(r.size)
+    return r[np.abs(lag[:, None] - lag)]
+
+
 def _propagators(model, dt, dx, nx):
     """The one-step apply step(v, shot) = v P + shot K0, or v P alone
     when shot is None, for row batches v and shot of shape (..., nx).
@@ -315,23 +321,23 @@ def _propagators(model, dt, dx, nx):
     (1/dt) int_0^dt p_r((a-b) dx) dr, band-limited.  Both are symmetric
     Toeplitz, and band-limiting makes P an exact lattice semigroup.
     Below FFT_MIN_NX cells they are dense matrices (BLAS products); from
-    FFT_MIN_NX on only the rfft spectra of their circulant embeddings, of
-    length next_fast_len(2 nx), are kept, no nx x nx array is built, and a
-    step is one rfft per operand and one irfft.  The two agree to a few
-    units of roundoff of the row max.
+    FFT_MIN_NX on only the numpy.fft rfft spectra of their circulant
+    embeddings, of length _fast_len(2 nx), are kept, no nx x nx array is
+    built, and a step is one rfft per operand and one irfft.  The two
+    agree to a few units of roundoff of the row max.
     """
     rows = bandlimited_rows(model, dx, nx, [0.0, dt], dt_average=None)
     avg0 = bandlimited_rows(model, dx, nx, [0.0], dt_average=dt)[0]
     if nx < FFT_MIN_NX:
-        p = dx * toeplitz(rows[1])
-        k0 = toeplitz(avg0)
+        p = dx * _toeplitz(rows[1])
+        k0 = _toeplitz(avg0)
 
         def step(v, shot=None):
             out = v @ p
             return out if shot is None else out + shot @ k0
         return step
 
-    n = next_fast_len(2 * nx)
+    n = _fast_len(2 * nx)
     p_hat, k0_hat = _circulant_spectra(np.array([dx * rows[1], avg0]), n)
 
     def step(v, shot=None):
@@ -591,7 +597,7 @@ def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
     and each output row costs one irfft.
     """
     nt, nx = base.shape
-    m_fft = next_fast_len(2 * nx)
+    m_fft = _fast_len(2 * nx)
     shat = _circulant_spectra(srows, m_fft)
     dhat = np.empty((nt, shat.shape[1]), dtype=complex)
     rows = base.copy()

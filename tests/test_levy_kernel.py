@@ -36,7 +36,8 @@ from levyheat import (
     theta_estimate,
     upsilon_eval,
 )
-from levyheat.levy_kernel import bandlimited_rows, exterior_mass, interval_mass
+from levyheat.levy_kernel import (_dct1, _fast_len, bandlimited_rows,
+                                  exterior_mass, interval_mass)
 
 P_1_0 = 0.3989422804014327      # (2 pi)^{-1/2}
 P_1_1 = 0.24197072451914337     # (2 pi)^{-1/2} exp(-1/2)
@@ -298,3 +299,18 @@ def test_bandlimited_noise_weight_mass():
     row = bandlimited_rows(stable(1.5), dx, m + 1, [0.0], dt_average=dt)[0]
     assert_allclose(dx * (row[0] + 2.0 * row[1:-1].sum() + row[-1]), 1.0,
                     atol=1e-5)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_fast_len_is_scipy_next_fast_len(real):
+    from scipy.fft import next_fast_len
+    got = [_fast_len(n, real=real) for n in range(1, 20_001)]
+    assert got == [next_fast_len(n, real=real) for n in range(1, 20_001)]
+
+
+def test_dct1_is_scipy_dct_type1():
+    from scipy.fft import dct
+    # bandlimited_rows' shape: lag rows by oversample * n_offsets + 1 xi nodes
+    xi = np.linspace(0.0, math.pi / 0.05, 8 * 256 + 1)
+    e = np.exp(-np.outer([0.0, 0.01, 0.3], psi_eval(stable(1.5), xi)))
+    assert np.array_equal(_dct1(e), dct(e, type=1, axis=1))

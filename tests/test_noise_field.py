@@ -4,6 +4,7 @@ import pytest
 from levyheat import AllocationLimit, OffsetOutOfRange
 from levyheat.noise_field import (
     NoiseLattice,
+    _raw_to_normal,
     noise_row,
     sample_noise,
     shift_noise,
@@ -116,6 +117,17 @@ class TestShift:
 
 
 class TestLimitsAndIO:
+    def test_extreme_raw_words_are_finite(self):
+        from scipy.special import ndtri
+        raw = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**12, 0],
+                       dtype=np.uint64)
+        got = _raw_to_normal(raw, 1.0)
+        assert np.all(np.isfinite(got))
+        # the all-ones 53-bit word maps to the largest double below 1
+        assert got[0] == got[1] == ndtri(1.0 - 2.0**-53)
+        assert got[2] == ndtri(1.0 - 2.0**-52)
+        assert got[3] == ndtri(2.0**-54)
+
     def test_allocation_limit(self):
         with pytest.raises(AllocationLimit):
             sample_noise(0.1, 0.2, 50, 50, seed=1, max_cells=100)

@@ -47,7 +47,7 @@ from levyheat.levy_kernel import ROW_CHUNK, bandlimited_rows
 from levyheat.solver import (FFT_MIN_NX, _det_rows,
                              _deterministic_distance_time,
                              _flat_second_moment, _propagators,
-                             build_lattice, check_truncation, march,
+                             _toeplitz, build_lattice, check_truncation, march,
                              x_centers)
 
 BM = brownian(1.0)
@@ -345,6 +345,10 @@ class TestPropagators:
             u = lat.det[:, j] + v.reshape(3, 2, nx)
             ref.append(v.reshape(3, 2, nx))
         assert np.array_equal(np.array(got), np.array(ref))
+
+    def test_toeplitz_is_scipy_toeplitz(self):
+        r = np.random.default_rng(4).standard_normal(FFT_MIN_NX - 1)
+        assert np.array_equal(_toeplitz(r), toeplitz(r))
 
     def test_no_square_array_above_threshold(self):
         nx = 2048
