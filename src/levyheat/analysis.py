@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationLimit, InsufficientRange
-from .levy_kernel import DEFAULT_SPEC, KernelModel, QuadratureSpec, gamma_k, p0_eval
+from .levy_kernel import KernelModel, gamma_k, p0_eval
 from .measure_init import FiniteMeasure, heat_convolve_many
 from .noise_field import MAX_CELLS
 from .solver import (MomentTable, SigmaSpec, build_lattice, check_truncation,
@@ -109,9 +109,7 @@ def _alpha_of(model: KernelModel) -> float:
 # Ensemble helper: full field rows at probe times, one slab per seed.
 # ---------------------------------------------------------------------------
 
-def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
-                   batch=24, threads=None, spec=DEFAULT_SPEC,
-                   max_cells=MAX_CELLS):
+def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds):
     """March every seed and keep the whole lattice row at each probe time.
 
     Returns (x_nodes, rows) with rows of shape (n_seeds, n_probes, nx) in
@@ -121,10 +119,10 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
     """
     seed_list = seed_ids(seeds)
     t_idx = step_numbers(t_probes, dt, "t probe")
-    if len(seed_list) * len(t_idx) * nx > max_cells:
+    if len(seed_list) * len(t_idx) * nx > MAX_CELLS:
         raise AllocationLimit("ensemble row buffer exceeds the budget")
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=np.arange(1, max(t_idx) + 1), spec=spec)
+                        steps=np.arange(1, max(t_idx) + 1))
     probe_at = step_slots(t_idx)
     rows = np.empty((len(seed_list), len(t_idx), nx))
 
@@ -132,8 +130,7 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
         for slot in probe_at.get(j, ()):
             rows[first:first + u.shape[0], slot] = u[:, 0]
 
-    march_seeds(lat, sigma, seed_list, keep, batch=batch, threads=threads,
-                max_cells=max_cells)
+    march_seeds(lat, sigma, seed_list, keep)
     return lat.x_nodes, rows
 
 
@@ -143,10 +140,7 @@ def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds,
 
 def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
                              u0: FiniteMeasure, k: float, eps: float, *,
-                             lip: float = 1.0,
-                             vacuous_factor: float = VACUOUS_FACTOR,
-                             spec: QuadratureSpec = DEFAULT_SPEC
-                             ) -> BoundVerdict:
+                             lip: float = 1.0) -> BoundVerdict:
     """Calibrate C and test E|u_t(x)|^k <= C^k e^{(1+eps)gamma(k)t} shape.
 
     shape = (1 + p_t(0)(p_t*u0)(x))^{k/2}.  The growth theorem proves such
@@ -156,7 +150,7 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     standard errors.  lip is sigma's Lipschitz constant, which the moment
     table does not carry; the default 1 matches the lam = 1 linear case.
 
-    Rows whose shape factor alone exceeds vacuous_factor are listed under
+    Rows whose shape factor alone exceeds VACUOUS_FACTOR are listed under
     metadata["vacuous"]: near t -> 0+ the envelope diverges for measure
     data and the comparison says nothing about the growth rate.  So are
     rows whose envelope exceeds the float range; their bound is +inf.  The
@@ -175,13 +169,13 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     raw_se = moments.raw_std_error[sel]
 
     kk = max(float(k), 2.0)
-    gam = 0.0 if lip == 0.0 else gamma_k(model, kk, lip, spec)
+    gam = 0.0 if lip == 0.0 else gamma_k(model, kk, lip)
     envelope = np.empty(t.size)
     shape_pow = np.empty(t.size)
     for tv in np.unique(t):
         rows = np.flatnonzero(t == tv)
-        pt0 = p0_eval(model, float(tv), spec)
-        ptu = heat_convolve_many(model, u0, float(tv), x[rows], spec)
+        pt0 = p0_eval(model, float(tv))
+        ptu = heat_convolve_many(model, u0, float(tv), x[rows])
         shape_pow[rows] = (1.0 + pt0 * np.maximum(ptu, 0.0)) ** (0.5 * k)
         envelope[rows] = growth_envelope((1.0 + eps) * gam * tv,
                                          shape_pow[rows])
@@ -216,7 +210,7 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     failures = [(float(t[i]), float(x[i]), float(k))
                 for i in vi if margin[i] > 0]
     vacuous = [(float(t[i]), float(x[i])) for i in vi
-               if shape_pow[i] >= vacuous_factor or not finite[i]]
+               if shape_pow[i] >= VACUOUS_FACTOR or not finite[i]]
 
     meta = {
         "c_eps": c_eps, "k": float(k), "eps": float(eps), "lip": float(lip),
@@ -228,7 +222,7 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
         "degenerate_split": degenerate,
         "worst": (float(t[worst]), float(x[worst]), float(k)),
         "failures": failures, "vacuous": vacuous,
-        "vacuous_factor": float(vacuous_factor),
+        "vacuous_factor": VACUOUS_FACTOR,
     }
     return BoundVerdict.from_comparison(
         f"exist_unique:k={k:g}:eps={eps:g}",
@@ -240,12 +234,11 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
 # Small-time scaling.
 # ---------------------------------------------------------------------------
 
-def _scan_grid(u0, scale: float, width_scales: float = 12.0,
-               points_per_scale: float = 60.0, max_points: int = 20001
-               ) -> np.ndarray:
-    """Symmetric odd grid resolving the kernel scale around the support."""
-    window = u0.data_radius + width_scales * scale
-    n = int(math.ceil(2.0 * window * points_per_scale / scale)) + 1
+def _scan_grid(u0, scale: float, max_points: int = 20001) -> np.ndarray:
+    """Symmetric odd grid resolving the kernel scale around the support:
+    12 scales past the data radius, 60 points per scale."""
+    window = u0.data_radius + 12.0 * scale
+    n = int(math.ceil(2.0 * window * 60.0 / scale)) + 1
     n = min(n | 1, max_points)
     return np.linspace(-window, window, n)
 
@@ -253,10 +246,7 @@ def _scan_grid(u0, scale: float, width_scales: float = 12.0,
 def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                  t_dyadic, k: float, *, seeds=400,
                  dt: float | None = None, half_width: float | None = None,
-                 nx: int | None = None, batch: int = 24,
-                 threads: int | None = None,
-                 spec: QuadratureSpec = DEFAULT_SPEC,
-                 max_cells: int = MAX_CELLS) -> tuple[np.ndarray, float]:
+                 nx: int | None = None) -> tuple[np.ndarray, float]:
     """t^{1/alpha} sup_x ||u_t(x)||_k along a decreasing dyadic time list.
 
     Returns the scaled sup values (same order as t_dyadic) and the log-log
@@ -283,13 +273,13 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     if sigma.lip == 0.0:
         for i, tv in enumerate(ts):
             xs = _scan_grid(u0, (model.kappa * tv) ** (1.0 / alpha))
-            sup[i] = float(np.max(heat_convolve_many(model, u0, tv, xs, spec)))
+            sup[i] = float(np.max(heat_convolve_many(model, u0, tv, xs)))
     elif sigma.kind == "linear" and k == 2:
         for i, tv in enumerate(ts):
             xs = _scan_grid(u0, (model.kappa * tv) ** (1.0 / alpha),
                             max_points=4001)
             orc = pam_second_moment_oracle(model, u0, sigma.lam, [tv], xs,
-                                           mode="continuum", spec=spec)
+                                           mode="continuum")
             sup[i] = math.sqrt(max(float(np.max(orc.values[0])), 0.0))
     else:
         t_min, t_max = float(ts.min()), float(ts.max())
@@ -299,12 +289,11 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         if half_width is None:
             half_width = u0.data_radius + 10.0 * scale
         if nx is None:
-            dx_cap = 0.5 / p0_eval(model, dt, spec)
+            dx_cap = 0.5 / p0_eval(model, dt)
             nx = int(math.ceil(2.0 * half_width / dx_cap))
         x_nodes, rows = _ensemble_rows(
             model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-            t_probes=ts[::-1], seeds=seeds, batch=batch, threads=threads,
-            spec=spec, max_cells=max_cells)
+            t_probes=ts[::-1], seeds=seeds)
         pow_mean = np.mean(np.abs(rows) ** k, axis=0)  # (n_probes, nx)
         sup[:] = np.max(pow_mean, axis=1)[::-1] ** (1.0 / k)
 
@@ -316,8 +305,7 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 # Gaussian tail decay in space.
 # ---------------------------------------------------------------------------
 
-def tail_decay_fit(moments: MomentTable, K: float, *,
-                   min_points: int = 3) -> float:
+def tail_decay_fit(moments: MomentTable, K: float) -> float:
     """Least-squares slope of log E|u_t(x)|^k against x^2 at one time.
 
     The table must hold rows at a single t and single k; only rows with
@@ -325,7 +313,7 @@ def tail_decay_fit(moments: MomentTable, K: float, *,
     A negative slope is the quantitative form of Gaussian-type spatial
     decay; for k = 1 and a point mass the exact mean makes the slope
     -1/(2t).  Raises InsufficientRange when the grid does not reach
-    2K + 5 sqrt(t) or when fewer than min_points usable rows remain.
+    2K + 5 sqrt(t) or when fewer than three usable rows remain.
     """
     if K < 0:
         raise ValueError("support radius must be nonnegative")
@@ -342,10 +330,9 @@ def tail_decay_fit(moments: MomentTable, K: float, *,
             f"tail fit needs |x| out to {reach:g}, grid stops at "
             f"{float(np.abs(moments.x).max()):g}")
     usable = (np.abs(moments.x) >= 2.0 * K) & (moments.raw_moment > 0.0)
-    if np.count_nonzero(usable) < min_points:
+    if np.count_nonzero(usable) < 3:
         raise InsufficientRange(
-            f"only {int(np.count_nonzero(usable))} usable tail rows, "
-            f"need {min_points}")
+            f"only {int(np.count_nonzero(usable))} usable tail rows, need 3")
     xx = moments.x[usable] ** 2
     logm = np.log(moments.raw_moment[usable])
     return float(np.polyfit(xx, logm, 1)[0])
@@ -402,10 +389,8 @@ def modulus_estimate(replicas, t: float, interval, eps: float) -> ModulusStat:
 
 def nochaos_sup_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                      t: float, L_list, seeds, *, dt: float = 0.01,
-                     dx: float = 0.05, pad: float | None = None,
-                     batch: int = 24, threads: int | None = None,
-                     spec: QuadratureSpec = DEFAULT_SPEC,
-                     max_cells: int = MAX_CELLS) -> np.ndarray:
+                     dx: float = 0.05,
+                     pad: float | None = None) -> np.ndarray:
     """Median over seeds of sup_{|x|<=L} u_t(x), one value per L.
 
     Compactly supported data only: the claim under test is that the sup
@@ -433,13 +418,12 @@ def nochaos_sup_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     half_width = 0.5 * nx * dx
     x_nodes = x_centers(nx, dx)
     if sigma.lip == 0.0:
-        check_truncation(model, u0, t, half_width, spec)
-        rows = heat_convolve_many(model, u0, t, x_nodes, spec)[None, None]
+        check_truncation(model, u0, t, half_width)
+        rows = heat_convolve_many(model, u0, t, x_nodes)[None, None]
     else:
         _, rows = _ensemble_rows(
             model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-            t_probes=[t], seeds=seeds, batch=batch, threads=threads,
-            spec=spec, max_cells=max_cells)
+            t_probes=[t], seeds=seeds)
 
     out = np.empty(len(Ls))
     for li, L in enumerate(Ls):

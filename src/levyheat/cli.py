@@ -360,14 +360,13 @@ def _canonical_bytes(doc) -> bytes:
 
 def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
     """Config hash, tool and library versions, seeds and output files."""
-    import scipy
     return {
         "config_sha256": hashlib.sha256(_canonical_bytes(doc)).hexdigest(),
         "tool": {"name": "levyheat", "version": __version__},
         "libraries": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "jsonschema": importlib.metadata.version("jsonschema"),
         },
         "seeds": list(seeds),

@@ -95,10 +95,10 @@ def _interp_rows(t_nodes: np.ndarray, rows: np.ndarray, s,
     return (1.0 - c) * rows[j] + c * rows[j + 1]
 
 
-def graded_times(t_max: float, n: int = 96, grade: float = 4.0,
-                 include=()) -> np.ndarray:
-    """Power-graded time mesh on (0, t_max], unioned with required nodes."""
-    base = t_max * (np.arange(1, n + 1) / n) ** grade
+def graded_times(t_max: float, n: int = 96, include=()) -> np.ndarray:
+    """Quartically graded time mesh on (0, t_max], unioned with required
+    nodes."""
+    base = t_max * (np.arange(1, n + 1) / n) ** 4.0
     ts = np.unique(np.concatenate([base, np.asarray(include, dtype=float)]))
     if ts.size and (ts[0] <= 0 or ts[-1] > t_max * (1 + 1e-12)):
         raise ValueError("required nodes must lie in (0, t_max]")
@@ -221,32 +221,28 @@ def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid,
     return SpaceTimeGrid(ts, f.x_nodes, out)
 
 
-def time_convolve_at_origin(model: KernelModel, t: float,
-                            n_theta_half: int = 64,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def time_convolve_at_origin(model: KernelModel, t: float) -> float:
     """int_0^t p_{t-s}(0) p_s(0) ds with exact density evaluations."""
-    s_frac, wts = _theta_rule(n_theta_half)
-    vals = np.array([p0_eval(model, t * (1.0 - sf), spec)
-                     * p0_eval(model, t * sf, spec) for sf in s_frac])
+    s_frac, wts = _theta_rule(64)
+    vals = np.array([p0_eval(model, t * (1.0 - sf)) * p0_eval(model, t * sf)
+                     for sf in s_frac])
     return float(t * np.sum(wts * vals))
 
 
-def check_lemma_pp(model: KernelModel, t: float, theta: float | None = None,
-                   spec: QuadratureSpec = DEFAULT_SPEC):
+def check_lemma_pp(model: KernelModel, t: float, theta: float | None = None):
     """Ordered triple certifying the diagonal convolution bound.
 
     Returns (p_t(0) int_0^t p, int_0^t p_{t-s}(0) p_s(0) ds,
     2 theta p_t(0) int_0^t p); the contract is lower <= mid <= upper.
     """
-    th = theta_estimate(model, spec=spec) if theta is None else theta
-    lower = p0_eval(model, t, spec) * p0_integral(model, t, spec)
-    mid = time_convolve_at_origin(model, t, spec=spec)
+    th = theta_estimate(model) if theta is None else theta
+    lower = p0_eval(model, t) * p0_integral(model, t)
+    mid = time_convolve_at_origin(model, t)
     return lower, mid, 2.0 * th * lower
 
 
 def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
-                           t_values, x_values, theta: float | None = None,
-                           spec: QuadratureSpec = DEFAULT_SPEC):
+                           t_values, x_values):
     """(lhs, rhs) arrays of shape (n_levels, len(t_values), len(x_values)).
 
     Level n holds the n-fold (p^2 (*) ... (*) p^2 (*) (p_. * u0)^2)_t(x)
@@ -259,17 +255,17 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
         raise ValueError("nested convolutions are supported for n in 1..4")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-    th = theta_estimate(model, spec=spec) if theta is None else theta
+    th = theta_estimate(model)
     x_nodes = _window_nodes(model, u0, t_values, x_values)
     t_table = graded_times(float(t_values.max()), include=t_values)
-    seed = smoothed_squared_grid(model, u0, t_table, x_nodes, spec)
-    kern = smoothed_squared_grid(model, delta(), t_table, x_nodes, spec)
+    seed = smoothed_squared_grid(model, u0, t_table, x_nodes)
+    kern = smoothed_squared_grid(model, delta(), t_table, x_nodes)
     idx = np.searchsorted(t_table, t_values)
     lhs = np.empty((n_levels, t_values.size, x_values.size))
     rhs = np.empty_like(lhs)
-    smooth = heat_convolve_rows(model, u0, t_values, x_values, spec)
-    p0s = np.array([p0_eval(model, t, spec) for t in t_values])
-    ints = np.array([p0_integral(model, t, spec) for t in t_values])
+    smooth = heat_convolve_rows(model, u0, t_values, x_values)
+    p0s = np.array([p0_eval(model, t) for t in t_values])
+    ints = np.array([p0_integral(model, t) for t in t_values])
     cur = seed
     for lev in range(n_levels):
         cur = st_convolve(kern, cur)
@@ -281,8 +277,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
 
 
 def check_lemma_star2(model: KernelModel, u0: FiniteMeasure, n: int, t: float,
-                      x: float, theta: float | None = None,
-                      spec: QuadratureSpec = DEFAULT_SPEC):
+                      x: float):
     """(lhs, rhs) for the n-fold kernel-squared bound seeded by (p*u0)^2."""
-    lhs, rhs = check_lemma_star2_grid(model, u0, n, [t], [x], theta, spec)
+    lhs, rhs = check_lemma_star2_grid(model, u0, n, [t], [x])
     return float(lhs[n - 1, 0, 0]), float(rhs[n - 1, 0, 0])

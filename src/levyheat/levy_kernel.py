@@ -149,7 +149,7 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
-             n_geo: int = 28, gl_order: int = 48):
+             n_geo: int = 28):
     """Gauss-Legendre nodes/weights on [0, cutoff].
 
     Panels are geometric toward 0 so that widely separated psi scales are
@@ -158,12 +158,12 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
     more than ~32 radians of phase, where the rule is spectrally exact.
     """
     edges = [0.0] + [cutoff * 2.0 ** (-j) for j in range(n_geo, -1, -1)]
-    z, w = _gauss_rule(gl_order)
+    z, w = _gauss_rule(48)
     nodes_all, weights_all = [], []
     total = 0
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(1, int(math.ceil(osc_scale * (b - a) / 32.0)))
-        total += m * gl_order
+        total += m * z.size
         if total > spec.nodes:
             raise QuadratureUnderresolved(
                 f"xi quadrature needs more than the budget of {spec.nodes} "
@@ -447,8 +447,8 @@ def _dct1(e: np.ndarray) -> np.ndarray:
 
 
 def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
-                     lag_times, dt_average: float | None = None,
-                     oversample: int = 8) -> np.ndarray:
+                     lag_times, dt_average: float | None = None
+                     ) -> np.ndarray:
     """Kernel rows sampled at offsets d*dx, band-limited at the lattice Nyquist.
 
     Row r holds (1/pi) int_0^{pi/dx} E_r(xi) cos(d dx xi) dxi for
@@ -461,13 +461,14 @@ def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
     Band-limiting makes the one-step propagator an exact lattice semigroup:
     iterating the row with lag dt reproduces the row with lag m*dt with no
     aliasing-driven mass drift. Computed as a type-I DCT (trapezoid) on a
-    uniform xi grid, plus the Euler-Maclaurin h^2/12 endpoint correction:
-    E'(0) = 0 but E'(Nyquist) need not be small, and correcting it makes the
-    rows O(h^4) accurate (mass identities hold to ~1e-9 at oversample 8).
+    uniform xi grid of 8 max(n_offsets, 64) steps, plus the Euler-Maclaurin
+    h^2/12 endpoint correction: E'(0) = 0 but E'(Nyquist) need not be
+    small, and correcting it makes the rows O(h^4) accurate (mass
+    identities hold to ~1e-9).
     """
     lags = np.atleast_1d(np.asarray(lag_times, dtype=float))
     nyquist = math.pi / dx
-    m = oversample * max(n_offsets, 64)
+    m = 8 * max(n_offsets, 64)
     xi = np.linspace(0.0, nyquist, m + 1)
     ps = psi_eval(model, xi)
     e = np.exp(-np.outer(lags, ps))

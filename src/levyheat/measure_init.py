@@ -85,10 +85,15 @@ class FiniteMeasure:
     @property
     def data_radius(self) -> float:
         """Radius of the data about the origin: support_radius when finite,
-        else the largest atom distance."""
+        else the largest |y| over the atoms and the density grid points
+        where the density is nonzero."""
         if math.isfinite(self.support_radius):
             return float(self.support_radius)
-        return max((abs(y) for y, _ in self.atoms), default=0.0)
+        radius = max((abs(y) for y, _ in self.atoms), default=0.0)
+        if self.density_grid is not None:
+            live = np.abs(self.density_grid[self.density_values != 0.0])
+            radius = max(radius, float(live.max(initial=0.0)))
+        return radius
 
     def _compute_mass(self) -> float:
         mass = sum(m for _, m in self.atoms)

@@ -67,21 +67,17 @@ def _raw_to_normal(raw: np.ndarray, scale: float) -> np.ndarray:
     return u
 
 
-def _check_budget(n_cells: int, max_cells: int):
-    if n_cells > max_cells:
-        raise AllocationLimit(
-            f"{n_cells} noise cells exceed the budget of {max_cells}; "
-            "generate rows one at a time with noise_row instead")
-
-
-def sample_noise(dt: float, dx: float, nt: int, nx: int, seed: int,
-                 max_cells: int = MAX_CELLS) -> NoiseLattice:
+def sample_noise(dt: float, dx: float, nt: int, nx: int,
+                 seed: int) -> NoiseLattice:
     """Full noise lattice; deterministic in (seed, shape)."""
     if dt <= 0 or dx <= 0:
         raise ValueError("dt and dx must be positive")
     if nt < 1 or nx < 1:
         raise ValueError("nt and nx must be at least 1")
-    _check_budget(nt * nx, max_cells)
+    if nt * nx > MAX_CELLS:
+        raise AllocationLimit(
+            f"{nt * nx} noise cells exceed the budget of {MAX_CELLS}; "
+            "generate rows one at a time with noise_row instead")
     bg = np.random.Philox(key=seed)
     raw = bg.random_raw(nt * nx).reshape(nt, nx)
     inc = _raw_to_normal(raw, float(np.sqrt(dt * dx)))

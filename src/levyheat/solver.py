@@ -85,6 +85,10 @@ TRUNCATION_TOL = 1e-8
 # 0.21 ms vs FFT 0.25 ms at 256 cells, 0.53 vs 0.47 ms at 384.
 FFT_MIN_NX = 384
 
+# Seeds per march chunk.  mc_moments sums its power sums chunk by chunk in
+# order, so another chunk size would change the bits of every table.
+BATCH = 24
+
 
 # ---------------------------------------------------------------------------
 # Multiplicative-noise coefficient.
@@ -476,9 +480,8 @@ def march(lat: Lattice, sigma: SigmaSpec, noise: np.ndarray, observe, *,
         observe(j, u, v.reshape(b, c, nx))
 
 
-def _worker_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
+def _worker_count() -> int:
+    """LEVYHEAT_THREADS if set, else min(8, CPUs)."""
     env = os.environ.get("LEVYHEAT_THREADS")
     if env:
         try:
@@ -489,10 +492,10 @@ def _worker_count(requested: int | None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _thread_map(fn, chunks, threads):
-    if threads <= 1 or len(chunks) <= 1:
+def _thread_map(fn, chunks, workers):
+    if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         futures = [ex.submit(fn, c) for c in chunks]
         return [f.result() for f in futures]  # chunk order, not finish order
 
@@ -504,10 +507,9 @@ def seed_ids(seeds) -> list[int]:
     return [int(s) for s in seeds]
 
 
-def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe, *,
-                batch: int = 24, threads: int | None = None,
-                max_cells: int = MAX_CELLS) -> None:
-    """march() every seed, batch seeds per chunk, the chunks over threads.
+def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
+    """march() every seed, BATCH seeds per chunk, the chunks over
+    _worker_count() threads.
 
     observe(first, j, u, v) is march's observer, also told the position
     in seeds of the chunk's first seed.  Chunks run concurrently, so it
@@ -515,25 +517,23 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe, *,
     """
     seeds = list(seeds)
     steps, nx = lat.det.shape[1:]
-    if batch * steps * nx > max_cells:
+    if BATCH * steps * nx > MAX_CELLS:
         raise AllocationLimit("seed chunk exceeds the allocation budget")
 
     def chunk(first):
-        part = seeds[first:first + batch]
+        part = seeds[first:first + BATCH]
         noise = np.empty((len(part), steps, nx))
         for i, s in enumerate(part):
-            noise[i] = sample_noise(lat.dt, lat.dx, steps, nx, s,
-                                    max_cells=max_cells).increments
+            noise[i] = sample_noise(lat.dt, lat.dx, steps, nx, s).increments
         march(lat, sigma, noise, functools.partial(observe, first))
 
-    _thread_map(chunk, range(0, len(seeds), batch), _worker_count(threads))
+    _thread_map(chunk, range(0, len(seeds), BATCH), _worker_count())
 
 
 def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
            noise: NoiseLattice, t_end: float, *,
            from_field: FieldLattice | None = None,
-           spec: QuadratureSpec = DEFAULT_SPEC,
-           max_cells: int = MAX_CELLS) -> FieldLattice:
+           spec: QuadratureSpec = DEFAULT_SPEC) -> FieldLattice:
     """March the mild recursion to t_end on the noise lattice.
 
     Fresh runs start from the measure u0: row 1 is deterministic and noise
@@ -563,7 +563,7 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     m = step_numbers(t_end - j0 * dt, dt, "time span")[0]
     if m > noise.nt:
         raise ValueError(f"noise lattice has {noise.nt} rows, need {m}")
-    if 3 * (m + 1) * nx > max_cells:
+    if 3 * (m + 1) * nx > MAX_CELLS:
         raise AllocationLimit(
             f"field of {m} x {nx} cells exceeds the allocation budget")
 
@@ -611,20 +611,18 @@ def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
 _FRAKT_CACHE: dict[tuple, float] = {}
 
 
-def _cached_frak_T(model: KernelModel, k: float, lip: float,
-                   spec: QuadratureSpec) -> float:
+def _cached_frak_T(model: KernelModel, k: float, lip: float) -> float:
     if model.kind == "tabulated":
-        return frak_T(model, k, lip, spec=spec)
+        return frak_T(model, k, lip)
     key = (model.kind, model.kappa, model.alpha, round(k, 12), round(lip, 12))
     if key not in _FRAKT_CACHE:
-        _FRAKT_CACHE[key] = frak_T(model, k, lip, spec=spec)
+        _FRAKT_CACHE[key] = frak_T(model, k, lip)
     return _FRAKT_CACHE[key]
 
 
 def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
-                   noise: NoiseLattice, n: int, *, k: float = 2.0,
-                   spec: QuadratureSpec = DEFAULT_SPEC,
-                   max_cells: int = MAX_CELLS) -> FieldLattice:
+                   noise: NoiseLattice, n: int, *,
+                   k: float = 2.0) -> FieldLattice:
     """n-th Picard stage on the frozen noise realization.
 
     Stage 0 is identically zero; stage n+1 puts the exact deterministic row
@@ -638,21 +636,21 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         raise ValueError("Picard stage must be >= 0")
     dt, dx, nx, nt = noise.dt, noise.dx, noise.nx, noise.nt
     horizon = nt * dt
-    t_max = _cached_frak_T(model, k, sigma.lip, spec)
+    t_max = _cached_frak_T(model, k, sigma.lip)
     if horizon > t_max * (1 + 1e-9):
         raise HorizonExceeded(
             f"lattice horizon {horizon:g} exceeds the order-{k:g} moment "
             f"horizon {t_max:g}")
-    if 4 * (nt + 1) * nx > max_cells:
+    if 4 * (nt + 1) * nx > MAX_CELLS:
         raise AllocationLimit("Picard stage exceeds the allocation budget")
 
     x_nodes = x_centers(nx, dx)
     half = 0.5 * nx * dx
-    ext = check_truncation(model, u0, horizon, half, spec)
+    ext = check_truncation(model, u0, horizon, half)
     steps = np.arange(1, nt + 1)
     cur = np.zeros((nt, nx))  # stage 0
     if n > 0:
-        det = _det_rows(model, u0, dt, steps, x_nodes, half, spec)
+        det = _det_rows(model, u0, dt, steps, x_nodes, half, DEFAULT_SPEC)
         srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                                  dt_average=dt)
         for _ in range(n):
@@ -667,7 +665,7 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 # Deterministic second-moment oracle for linear sigma.
 # ---------------------------------------------------------------------------
 
-def _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec) -> np.ndarray:
+def _oracle_lattice(model, u0, lam, t_nodes, x_nodes) -> np.ndarray:
     """Exact second-moment recursion of the timestep scheme.
 
     For sigma(x) = lam x the independence of the noise cells makes
@@ -680,14 +678,14 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec) -> np.ndarray:
     dt = float(t_nodes[0])
     dx = float(x_nodes[1] - x_nodes[0])
     det = _det_rows(model, u0, dt, np.arange(1, nt + 1), x_nodes,
-                    float(np.abs(x_nodes).max()) + 0.5 * dx, spec)
+                    float(np.abs(x_nodes).max()) + 0.5 * dx, DEFAULT_SPEC)
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
     scale = lam * lam * dt * dx
     return _lag_march(det ** 2, srows ** 2, lambda i, row: scale * row)
 
 
-def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
+def _oracle_continuum(model, u0, lam, t_targets, x_out) -> np.ndarray:
     """Volterra march for f = det^2 + lam^2 (p^2 (*) f) on a graded mesh.
 
     The first interaction term S1 = lam^2 (p^2 (*) det^2) carries the whole
@@ -699,13 +697,13 @@ def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
     x_out = np.asarray(x_out, dtype=float)
     x_int = _window_nodes(model, u0, t_targets, x_out)
     tbl = graded_times(float(t_targets[-1]), n=88, include=t_targets)
-    kern = smoothed_squared_grid(model, delta(), tbl, x_int, spec)
-    seed = smoothed_squared_grid(model, u0, tbl, x_int, spec)
+    kern = smoothed_squared_grid(model, delta(), tbl, x_int)
+    seed = smoothed_squared_grid(model, u0, tbl, x_int)
     lam2 = lam * lam
     s1 = SpaceTimeGrid(tbl, x_int, lam2 * st_convolve(kern, seed).values)
     h = lam2 * st_convolve(kern, s1, feedback=lam2).values
 
-    out = heat_convolve_rows(model, u0, t_targets, x_out, spec) ** 2
+    out = heat_convolve_rows(model, u0, t_targets, x_out) ** 2
     for j, t in enumerate(t_targets):
         i = int(np.argmin(np.abs(tbl - t)))
         out[j] += np.interp(x_out, x_int, s1.values[i] + h[i])
@@ -714,9 +712,7 @@ def _oracle_continuum(model, u0, lam, t_targets, x_out, spec) -> np.ndarray:
 
 def pam_second_moment_oracle(model: KernelModel, u0: FiniteMeasure,
                              lam: float, t_grid, x_grid, *,
-                             mode: str = "continuum",
-                             spec: QuadratureSpec = DEFAULT_SPEC
-                             ) -> SpaceTimeGrid:
+                             mode: str = "continuum") -> SpaceTimeGrid:
     """Deterministic fixed point of f = |p_t*u0|^2 + lam^2 (p^2 (*) f).
 
     For linear sigma this is the exact second moment, computed with no
@@ -740,17 +736,16 @@ def pam_second_moment_oracle(model: KernelModel, u0: FiniteMeasure,
         if not np.allclose(t_nodes, dt * np.arange(1, t_nodes.size + 1),
                            rtol=1e-9, atol=0.0):
             raise GridMismatch("lattice mode needs t_grid = dt * {1..n}")
-        vals = _oracle_lattice(model, u0, lam, t_nodes, x_nodes, spec)
+        vals = _oracle_lattice(model, u0, lam, t_nodes, x_nodes)
     elif mode == "continuum":
-        vals = _oracle_continuum(model, u0, lam, t_nodes, x_nodes, spec)
+        vals = _oracle_continuum(model, u0, lam, t_nodes, x_nodes)
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
     return SpaceTimeGrid(t_nodes, x_nodes, vals)
 
 
-def _flat_second_moment(model: KernelModel, lam: float, t_values,
-                        spec: QuadratureSpec = DEFAULT_SPEC,
-                        n_theta_half: int = 64) -> np.ndarray:
+def _flat_second_moment(model: KernelModel, lam: float,
+                        t_values) -> np.ndarray:
     """f(t) = 1 + lam^2 int_0^t p_{2(t-s)}(0) f(s) ds for flat data u0 = 1.
 
     Space drops out by translation invariance, leaving a scalar Volterra
@@ -761,16 +756,16 @@ def _flat_second_moment(model: KernelModel, lam: float, t_values,
     """
     t_values = np.asarray(t_values, dtype=float)
     tbl = graded_times(float(t_values[-1]), n=160, include=t_values)
-    s_frac, ds_w = _theta_rule(n_theta_half)
+    s_frac, ds_w = _theta_rule(64)
     lam2 = lam * lam
     f = np.ones(tbl.size)
     for i, t in enumerate(tbl):
         if i == 0:
-            f[i] = 1.0 + lam2 * p0_eval(model, 2.0 * t, spec) * t
+            f[i] = 1.0 + lam2 * p0_eval(model, 2.0 * t) * t
             continue
         s = t * s_frac
         fs = np.interp(s, tbl[:i + 1], np.concatenate([f[:i], [f[i - 1]]]))
-        p2 = _fourier_rows(model, 2.0 * (t - s), [0.0], spec)[:, 0]
+        p2 = _fourier_rows(model, 2.0 * (t - s), [0.0], DEFAULT_SPEC)[:, 0]
         f[i] = 1.0 + lam2 * t * (ds_w @ (p2 * fs))
     return np.interp(t_values, tbl, f)
 
@@ -793,10 +788,8 @@ def growth_envelope(exponent: float, shape):
 
 def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
                dt: float, nx: int, half_width: float, t_end: float,
-               seeds, t_probes, x_probes, ks=(1, 2), snapshot_times=(),
-               batch: int = 24, threads: int | None = None,
-               spec: QuadratureSpec = DEFAULT_SPEC,
-               max_cells: int = MAX_CELLS) -> MomentTable:
+               seeds, t_probes, x_probes, ks=(1, 2),
+               snapshot_times=()) -> MomentTable:
     """Ensemble moment estimates at probe points, with theory columns.
 
     Marches independent timestep paths, one per seed (an int n means
@@ -817,7 +810,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     if max(t_idx) > steps:
         raise ValueError("t probe beyond t_end")
     snap_idx = step_numbers(snapshot_times, dt, "snapshot time")
-    if len(seeds) * len(snap_idx) * nx > max_cells:
+    if len(seeds) * len(snap_idx) * nx > MAX_CELLS:
         raise AllocationLimit("snapshot buffer exceeds the budget")
     ks = [float(kv) for kv in np.atleast_1d(ks)]
     if any(kv < 1 for kv in ks):
@@ -825,7 +818,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
 
     steps = max([steps] + snap_idx)
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=np.arange(1, steps + 1), spec=spec)
+                        steps=np.arange(1, steps + 1))
     x_nodes = lat.x_nodes
     cols = [int(np.argmin(np.abs(x_nodes - xp)))
             for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
@@ -834,7 +827,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     snap_at = step_slots(snap_idx)
     # power sums of |u|^k and |u|^2k, one slot per seed chunk, summed in
     # chunk order below
-    sums = np.zeros((-(-len(seeds) // batch), 2, n_pt, n_px, n_k))
+    sums = np.zeros((-(-len(seeds) // BATCH), 2, n_pt, n_px, n_k))
     snaps = np.empty((len(seeds), len(snap_idx), nx))
 
     def collect(first, j, u, v):
@@ -844,14 +837,13 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
         if slots is None:
             return
         vals = u[:, 0][:, cols]
-        chunk = first // batch
+        chunk = first // BATCH
         for kpos, kv in enumerate(ks):
             a = vals if kv == 1 else np.abs(vals) ** kv
             sums[chunk, 0, slots, :, kpos] += a.sum(axis=0)
             sums[chunk, 1, slots, :, kpos] += (a * a).sum(axis=0)
 
-    march_seeds(lat, sigma, seeds, collect, batch=batch, threads=threads,
-                max_cells=max_cells)
+    march_seeds(lat, sigma, seeds, collect)
     s1, s2 = np.sum(sums, axis=0)
 
     n = float(len(seeds))
@@ -864,16 +856,16 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
         if sigma.lip == 0.0:
             gam[kv] = 0.0
         else:
-            gam[kv] = gamma_k(model, max(kv, 2.0), sigma.lip, spec)
+            gam[kv] = gamma_k(model, max(kv, 2.0), sigma.lip)
 
     mass = u0.total_mass
     rows_t, rows_x, rows_k = [], [], []
     est, se, b_eu, b_h1, rawm, rawse = [], [], [], [], [], []
     ptus = heat_convolve_rows(model, u0, np.asarray(t_idx) * dt,
-                              x_nodes[cols], spec)
+                              x_nodes[cols])
     for slot, (i, ptu) in enumerate(zip(t_idx, ptus)):
         t = i * dt
-        pt0 = p0_eval(model, t, spec)
+        pt0 = p0_eval(model, t)
         for cpos in range(n_px):
             shape = pt0 * max(float(ptu[cpos]), 0.0)
             for kpos, kv in enumerate(ks):
@@ -913,8 +905,8 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
 # Mollified-initial-data comparison.
 # ---------------------------------------------------------------------------
 
-def stability_bound(model: KernelModel, mass: float, eps: float, beta: float,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def stability_bound(model: KernelModel, mass: float, eps: float,
+                    beta: float) -> float:
     """Ceiling for the Laplace-weighted L^2 distance to the eps-start:
 
         (mass^2 / pi) int_R (1 - e^{-eps psi})^2 / (beta + 2 psi) dxi.
@@ -940,7 +932,7 @@ def stability_bound(model: KernelModel, mass: float, eps: float, beta: float,
         if eps * psi_eval(model, cutoff) < 40.0:
             raise QuadratureUnderresolved(
                 "tabulated exponent table too short for the stability bound")
-    nodes, weights = _xi_rule(cutoff, 0.0, spec)
+    nodes, weights = _xi_rule(cutoff, 0.0, DEFAULT_SPEC)
     ps = psi_eval(model, nodes)
     core = weights @ (np.expm1(-eps * ps) ** 2 / (beta + 2.0 * ps))
     total = core + _upsilon_tail(model, beta, cutoff)
@@ -948,8 +940,7 @@ def stability_bound(model: KernelModel, mass: float, eps: float, beta: float,
 
 
 def _deterministic_distance_time(model: KernelModel, mass: float, eps: float,
-                                 beta: float,
-                                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                                 beta: float) -> float:
     """sigma = 0 distance for a point mass, via time-domain quadrature.
 
     || p_t*u0 - p_{t+eps}*u0 ||_2^2 = mass^2 (p_{2t}(0) + p_{2t+2eps}(0)
@@ -969,9 +960,9 @@ def _deterministic_distance_time(model: KernelModel, mass: float, eps: float,
         wt = 0.5 * (b - a) * w
         for ta, wa in zip(tau, wt):
             t = ta * ta
-            val = (p0_eval(model, 2.0 * t, spec)
-                   + p0_eval(model, 2.0 * t + 2.0 * eps, spec)
-                   - 2.0 * p0_eval(model, 2.0 * t + eps, spec))
+            val = (p0_eval(model, 2.0 * t)
+                   + p0_eval(model, 2.0 * t + 2.0 * eps)
+                   - 2.0 * p0_eval(model, 2.0 * t + eps))
             total += wa * 2.0 * ta * math.exp(-beta * t) * val
     return mass * mass * total
 
@@ -979,10 +970,7 @@ def _deterministic_distance_time(model: KernelModel, mass: float, eps: float,
 def stability_compare(model: KernelModel, u0: FiniteMeasure,
                       sigma: SigmaSpec, eps_list, beta: float, seeds, *,
                       t_max: float = 6.0, dt: float = 0.01, nx: int = 320,
-                      half_width: float = 20.0, batch: int = 24,
-                      threads: int | None = None,
-                      spec: QuadratureSpec = DEFAULT_SPEC,
-                      max_cells: int = MAX_CELLS) -> list[StabilityRow]:
+                      half_width: float = 20.0) -> list[StabilityRow]:
     """Distance between the solution and its mollified-start version.
 
     Marches u from u0 and, for every eps, U from p_eps * u0, all coupled
@@ -1000,7 +988,7 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     crude e^{-beta T} tail proxy from the final lattice row.
     """
     if sigma.lip > 0.0:
-        ups = upsilon_eval(model, beta, spec)
+        ups = upsilon_eval(model, beta)
         if ups > 1.0 / (2.0 * sigma.lip ** 2):
             raise ValueError(
                 f"beta={beta:g} is not admissible: upsilon(beta)={ups:g} "
@@ -1016,8 +1004,7 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     times = dt * np.arange(1, steps + 1)
     # start 0 is u0, start 1 + e is p_eps * u0 for the e-th eps
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=range(1, steps + 1), shifts=[0.0] + eps_arr,
-                        spec=spec)
+                        steps=range(1, steps + 1), shifts=[0.0] + eps_arr)
     decay = np.exp(-beta * times)
     dist = np.zeros((len(eps_arr), len(seed_list)))
     last = np.zeros_like(dist)
@@ -1028,13 +1015,12 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
         if j == steps - 1:
             last[:, first:first + sq.shape[1]] = sq
 
-    march_seeds(lat, sigma, seed_list, accumulate, batch=batch,
-                threads=threads, max_cells=max_cells)
+    march_seeds(lat, sigma, seed_list, accumulate)
     n = len(seed_list)
     return [StabilityRow(
         eps=eps, distance=float(d.mean()),
         std_error=float(d.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        bound=stability_bound(model, u0.total_mass, eps, beta, spec),
+        bound=stability_bound(model, u0.total_mass, eps, beta),
         tail_bound=math.exp(-beta * t_max) * float(l.mean()) / beta)
         for eps, d, l in zip(eps_arr, dist * dt * lat.dx, last * lat.dx)]
 

@@ -189,6 +189,19 @@ class TestRunCommand:
         assert len(manifest["config_sha256"]) == 64
         assert "time" not in json.dumps(manifest).lower()
 
+    def test_run_without_claims_leaves_scipy_unloaded(self, tmp_path):
+        # the manifest reads scipy's version from package metadata
+        path, doc = small_config(tmp_path, claims=[])
+        code = ("import sys; from levyheat import cli; "
+                f"assert cli.main(['run', {str(path)!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        res = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                             capture_output=True, text=True)
+        assert res.stdout.strip() == "[]", res.stderr
+        manifest = json.loads(
+            (Path(doc["output_dir"]) / "manifest.json").read_text())
+        assert manifest["libraries"]["scipy"]
+
     def test_rerun_is_bit_identical(self, tmp_path):
         path, doc = small_config(tmp_path)
         assert run_cli("run", str(path)).returncode == 0
@@ -254,6 +267,23 @@ class TestRunCommand:
         res = run_cli("run", str(path))
         assert res.returncode == 1
         assert "widen" in res.stderr
+
+    @pytest.mark.parametrize("radius", ["6", "1e400"])
+    def test_density_outside_the_window_exits_1(self, tmp_path, radius):
+        # a uniform density on [4, 6] against a window of half-width 2; an
+        # infinite support_radius (1e400 parses to inf) must not hide it
+        grid = [4.0 + 0.25 * i for i in range(9)]
+        measure = {"kind": "custom", "support_radius": 0.0,
+                   "density": {"grid": grid, "values": [1.0] * 9}}
+        path, _ = small_config(
+            tmp_path, measure=measure,
+            grid={"dt": 0.01, "dx": 0.125, "L": 2.0, "t_end": 0.05},
+            claims=["mean_identity"])
+        path.write_text(path.read_text().replace(
+            '"support_radius": 0.0', f'"support_radius": {radius}'))
+        res = run_cli("run", str(path))
+        assert res.returncode == 1
+        assert "does not cover the initial support radius 6" in res.stderr
 
     def test_failing_claim_exits_2(self, tmp_path, monkeypatch):
         def always_fail(model, u0, sigma, table, cfg):

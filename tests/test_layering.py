@@ -1,7 +1,10 @@
-"""Module layering: no module reaches into another's private names, and
-importing the package leaves heavy optional subpackages unloaded."""
+"""Module layering: no module reaches into another's private names,
+importing the package leaves heavy optional subpackages unloaded, and the
+entry points above the quadrature layer take no tuning knobs."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -69,3 +72,33 @@ def test_all_lists_each_imported_name_once():
     scope = {}
     exec("from levyheat import *", scope)
     assert set(names) <= set(scope)
+
+
+# Functions above the quadrature layer that still take a QuadratureSpec:
+# tests drive each with a tighter rule than the default (tol=1e-13 or
+# nodes=4_000_000) and assert agreement that the default cannot meet.
+SPEC_TAKERS = {
+    "solver": {"check_truncation", "_det_rows", "build_lattice", "evolve"},
+    "conv_calculus": {"smoothed_squared_grid"},
+}
+
+
+def module_functions(name):
+    mod = importlib.import_module(f"levyheat.{name}")
+    return {fname: obj for fname, obj in vars(mod).items()
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__}
+
+
+def test_no_batch_thread_budget_or_stray_spec_parameters():
+    # the seed chunk is solver.BATCH, the thread count LEVYHEAT_THREADS,
+    # the allocation budget noise_field.MAX_CELLS
+    knobs, spec = [], {}
+    for name in ("solver", "analysis", "conv_calculus", "noise_field"):
+        for fname, fn in module_functions(name).items():
+            params = inspect.signature(fn).parameters
+            knobs += [(name, fname, p) for p in ("batch", "threads",
+                                                 "max_cells") if p in params]
+            if "spec" in params:
+                spec.setdefault(name, set()).add(fname)
+    assert knobs == []
+    assert spec == SPEC_TAKERS

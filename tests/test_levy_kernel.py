@@ -310,7 +310,7 @@ def test_fast_len_is_scipy_next_fast_len(real):
 
 def test_dct1_is_scipy_dct_type1():
     from scipy.fft import dct
-    # bandlimited_rows' shape: lag rows by oversample * n_offsets + 1 xi nodes
+    # bandlimited_rows' shape: lag rows by 8 n_offsets + 1 xi nodes
     xi = np.linspace(0.0, math.pi / 0.05, 8 * 256 + 1)
     e = np.exp(-np.outer([0.0, 0.01, 0.3], psi_eval(stable(1.5), xi)))
     assert np.array_equal(_dct1(e), dct(e, type=1, axis=1))

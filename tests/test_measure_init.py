@@ -130,6 +130,22 @@ def test_json_round_trip():
         assert back.total_mass == 1.25
 
 
+def test_data_radius_with_infinite_support_sees_the_density():
+    grid = np.linspace(-7.0, 7.0, 15)
+    vals = np.where((grid >= 4.0) & (grid <= 6.0), 1.0, 0.0)
+    dens = FiniteMeasure(density_grid=grid, density_values=vals,
+                         support_radius=math.inf)
+    assert dens.data_radius == 6.0
+    both = FiniteMeasure(atoms=((-6.5, 1.0),), density_grid=grid,
+                         density_values=vals, support_radius=math.inf)
+    assert both.data_radius == 6.5
+    # a finite support_radius is taken as stated
+    assert FiniteMeasure(density_grid=grid, density_values=vals,
+                         support_radius=6.5).data_radius == 6.5
+    assert measure_from_json({"atoms": [[-1.5, 1.0]],
+                              "support_radius": 1e400}).data_radius == 1.5
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         FiniteMeasure(atoms=((0.0, -1.0),))

@@ -129,8 +129,9 @@ class TestLimitsAndIO:
         assert got[3] == ndtri(2.0**-54)
 
     def test_allocation_limit(self):
+        # 2^27 cells, twice MAX_CELLS; the check raises before any draw
         with pytest.raises(AllocationLimit):
-            sample_noise(0.1, 0.2, 50, 50, seed=1, max_cells=100)
+            sample_noise(0.1, 0.2, 1 << 13, 1 << 14, seed=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

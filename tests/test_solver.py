@@ -551,12 +551,14 @@ class TestMcMoments:
         for xv in np.unique(tab.x):
             assert np.abs(centers - xv).min() < 1e-12
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
         kw = dict(dt=0.02, nx=64, half_width=4.0, t_end=0.1, seeds=50,
                   t_probes=[0.1], x_probes=[0.0], ks=(2,))
-        a = mc_moments(BM, U0, PAM, threads=1, **kw)
-        b = mc_moments(BM, U0, PAM, threads=2, **kw)
-        c = mc_moments(BM, U0, PAM, threads=2, **kw)
+        monkeypatch.setenv("LEVYHEAT_THREADS", "1")
+        a = mc_moments(BM, U0, PAM, **kw)
+        monkeypatch.setenv("LEVYHEAT_THREADS", "2")
+        b = mc_moments(BM, U0, PAM, **kw)
+        c = mc_moments(BM, U0, PAM, **kw)
         assert np.array_equal(a.estimate, b.estimate)
         assert np.array_equal(b.estimate, c.estimate)
         assert np.array_equal(b.std_error, c.std_error)
