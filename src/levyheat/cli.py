@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import importlib.metadata
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -113,6 +114,21 @@ def _validator(name: str):
                                            registry=registry)
 
 
+def _check_finite(node, path: str = "$") -> None:
+    """Reject numbers past the float range, which JSON parses to inf (or
+    NaN) and the schema's "type": "number" lets through.  An infinite
+    support_radius is how a measure declares unbounded support."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            if key != "support_radius":
+                _check_finite(val, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            _check_finite(val, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigInvalid(f"{path}: {node!r} is not a finite number")
+
+
 def _validate_doc(doc, schema_name: str) -> None:
     import jsonschema
 
@@ -120,6 +136,7 @@ def _validate_doc(doc, schema_name: str) -> None:
     if errors:
         best = jsonschema.exceptions.best_match(errors)
         raise ConfigInvalid(f"{best.json_path}: {_one_line(best.message)}")
+    _check_finite(doc)
 
 
 def _load_json_file(path) -> dict:

@@ -15,10 +15,12 @@ of the squared kernel p_t(x)^2 is its u0 = delta() case.
 ``st_convolve`` is the one theta-rule loop over table rows.  Each table row
 is transformed once (rfft, zero-padded to the linear-convolution length);
 linear interpolation in t commutes with the transform, so the theta nodes
-are summed in Fourier space and each output row costs one irfft.  With a
-``feedback`` coefficient the same loop marches the Volterra equation
-out = f (*) (g + feedback * out) causally, which is how the continuum
-second-moment oracle solves its renewal equation.
+are summed in Fourier space and each output row costs one irfft.
+
+``volterra_hat`` marches the renewal equation of the second moment after a
+Fourier transform in x, where it is one scalar Volterra equation per
+frequency: h_t = lam^2 int_0^t K_{t-s} (D_s + h_s) ds, with K the
+transform of p^2 and D that of the squared smoothed data.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _theta_rule(n_half: int = 48):
 
 def _window_nodes(model: KernelModel, u0: FiniteMeasure, t_values,
                   x_values) -> np.ndarray:
-    """Uniform x nodes of a Volterra table that serves the (t, x) probes.
+    """Uniform x nodes of a convolution table that serves the (t, x) probes.
 
     The half-width adds to the farthest probe and the data radius a tail
     buffer of 24 diffusion lengths, with a wide floor for heavy tails that
@@ -161,8 +163,7 @@ def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
     Below the resolvable time the atom part concentrates: its square
     integrates to sum_i m_i^2 p_{2t}(0) (cross terms and the density part
     are bounded there and carry vanishing squared mass).  With u0 = delta()
-    these are the rows of p_t(x)^2, the kernel table of the lemma checks
-    and of the continuum oracle.
+    these are the rows of p_t(x)^2, the kernel table of the lemma checks.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -183,17 +184,12 @@ def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
     return SpaceTimeGrid(t_nodes, x_nodes, rows)
 
 
-def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid,
-                feedback: float = 0.0) -> SpaceTimeGrid:
-    """Discretized out = f (*) (g + feedback * out) on the grid of f and g.
+def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid) -> SpaceTimeGrid:
+    """Discretized f (*) g on the grid of f and g.
 
-    feedback = 0 is the plain convolution f (*) g.  Otherwise the rows are
-    marched causally: row i sees out only up to the last finished row,
-    clamped there (row 0 while i <= 1); a graded mesh keeps the kernel
-    mass of that not-yet-computed sliver small.  Every row of f, g and out
-    is transformed once; interpolation in t and the theta-node sum happen
-    on the spectra, and the "same"-size centre of one irfft per row is the
-    output row, clipped at 0.
+    Every row of f and g is transformed once; interpolation in t and the
+    theta-node sum happen on the spectra, and the "same"-size centre of one
+    irfft per row is the output row, clipped at 0.
     """
     if not (np.array_equal(f.t_nodes, g.t_nodes)
             and np.array_equal(f.x_nodes, g.x_nodes)):
@@ -207,18 +203,61 @@ def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid,
     lo = (nx - 1) // 2
     fhat = rfft(f.values, n_fft, axis=1)
     ghat = rfft(g.values, n_fft, axis=1)
-    outhat = np.zeros_like(ghat)
     out = np.empty_like(f.values)
     for i, t in enumerate(ts):
         s = t * s_frac
-        src = _interp_rows(ts, ghat, s)
-        if feedback:
-            src = src + feedback * _interp_rows(ts, outhat, s, max(i, 1))
-        acc = wts @ (_interp_rows(ts, fhat, t - s) * src)
+        acc = wts @ (_interp_rows(ts, fhat, t - s) * _interp_rows(ts, ghat, s))
         out[i] = np.maximum(irfft(acc, n_fft)[lo:lo + nx] * (t * f.dx), 0.0)
-        if feedback:
-            outhat[i] = rfft(out[i], n_fft)
     return SpaceTimeGrid(ts, f.x_nodes, out)
+
+
+# Graded mesh size of the coarser of the two marches volterra_hat combines.
+VOLTERRA_N = 120
+
+
+def _volterra_rows(khat, dhat, lam2: float, t_nodes) -> np.ndarray:
+    """h at every node of t_nodes for h_t = lam2 int_0^t K_{t-s} (D_s + h_s) ds.
+
+    khat(s) gives the rows K_s, one per time, over a fixed frequency set;
+    dhat(s, k) the rows D_s, given k = khat(s).  Each node integrates with
+    the theta rule, exact K and D at its nodes and h linear between mesh
+    nodes (held at the first node below it); the unknown h at the node
+    itself enters that interpolation linearly, so each row is solved
+    exactly.  The rule is symmetric, s_frac reversed is 1 - s_frac, so one
+    khat call per row gives both K_s and K_{t-s}.
+    """
+    s_frac, wts = _theta_rule(32)
+    out = None
+    for i, t in enumerate(t_nodes):
+        s = t * s_frac
+        k = khat(s)
+        kw = (lam2 * t * wts)[:, None] * k[::-1]
+        src = dhat(s, k)
+        if out is None:
+            out = np.zeros((t_nodes.size, k.shape[1]),
+                           dtype=np.result_type(k, src))
+        acc = np.einsum("ij,ij->j", kw,
+                        src + _interp_rows(t_nodes, out, s, i + 1))
+        c = np.clip((s - t_nodes[i - 1]) / (t - t_nodes[i - 1]), 0.0, 1.0) \
+            if i else np.ones_like(s)
+        out[i] = acc / (1.0 - c @ kw)
+    return out
+
+
+def volterra_hat(khat, dhat, lam2: float, t_values) -> np.ndarray:
+    """h at t_values for h_t = lam2 int_0^t K_{t-s} (D_s + h_s) ds.
+
+    Marched by ``_volterra_rows`` on the graded meshes of VOLTERRA_N and
+    2 VOLTERRA_N nodes (each holding t_values), whose O(n^-2) errors the
+    Richardson step (4 h_2n - h_n) / 3 cancels.
+    """
+    t_values = np.asarray(t_values, dtype=float)
+    runs = []
+    for n in (VOLTERRA_N, 2 * VOLTERRA_N):
+        tbl = graded_times(float(t_values[-1]), n, include=t_values)
+        rows = _volterra_rows(khat, dhat, lam2, tbl)
+        runs.append(rows[np.searchsorted(tbl, t_values)])
+    return (4.0 * runs[1] - runs[0]) / 3.0
 
 
 def time_convolve_at_origin(model: KernelModel, t: float) -> float:
@@ -248,8 +287,7 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
     Level n holds the n-fold (p^2 (*) ... (*) p^2 (*) (p_. * u0)^2)_t(x)
     and the bound u0(R) (2 theta int_0^t p_s(0) ds)^n p_t(0) (p_t*u0)(x).
     One shared graded table serves every requested (t, x) pair, so the
-    cost is n_levels convolution passes regardless of how many pairs;
-    its x window is the second-moment oracle's.
+    cost is n_levels convolution passes regardless of how many pairs.
     """
     if not 1 <= n_levels <= 4:
         raise ValueError("nested convolutions are supported for n in 1..4")

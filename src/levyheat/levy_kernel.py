@@ -229,6 +229,54 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     return out / math.pi
 
 
+def _squared_kernel_hat(model: KernelModel):
+    """khat(ts, xi): rows of int e^{i xi x} p_t(x)^2 dx, one per t in ts.
+
+    The transform is (1/2pi) int exp(-t (psi(eta) + psi(xi - eta))) deta.
+    Brownian motion has the closed form p_{2t}(0) exp(-kappa t xi^2 / 4).
+    A stable law scales, khat_t(xi) = t^{-1/alpha} G(t^{1/alpha} xi) with
+    G = khat_1, and G is tabulated here, once per call, as log G against
+    v = z^alpha: log G is linear in v for alpha = 2 and asymptotically
+    linear otherwise, so linear interpolation in v is exact or nearly so.
+    Each G(z) is (1/pi) int_0^inf exp(-kappa (|z/2+u|^alpha
+    + |z/2-u|^alpha)) du, by Gauss-Legendre on either side of the kink at
+    u = z/2.  A tabulated exponent has neither form and raises ValueError.
+    """
+    if model.kind == "brownian":
+        kap = model.kappa
+
+        def khat(ts, xi):
+            ts = np.asarray(ts, dtype=float)[:, None]
+            return np.exp(-0.25 * kap * ts * xi * xi) \
+                / np.sqrt(4.0 * math.pi * kap * ts)
+        return khat
+    if model.kind != "stable":
+        raise ValueError("the transform of p_t^2 needs a brownian or stable "
+                         f"kernel, not a {model.kind} one")
+    a, kap = model.alpha, model.kappa
+    # G(z) <= G(0) e^{-50} once kappa 2^{1-alpha} z^alpha >= 50
+    # nodes crowd toward v = 0, where log G ~ -c v^{2/alpha} bends most
+    v = np.linspace(0.0, 1.0, 8193) ** 2 * (50.0 * 2.0 ** (a - 1.0) / kap)
+    half = 0.5 * v[:, None] ** (1.0 / a)
+    z, w = _gauss_rule(64)
+    reach = (40.0 / kap) ** (1.0 / a)
+    u = np.concatenate([half * 0.5 * (z + 1.0),
+                        half + 0.5 * reach * (z + 1.0)], axis=1)
+    wu = np.concatenate([half * 0.5 * w,
+                         np.broadcast_to(0.5 * reach * w, u.shape[:1] + w.shape)],
+                        axis=1)
+    g = np.sum(wu * np.exp(-kap * (np.abs(half + u) ** a
+                                   + np.abs(half - u) ** a)), axis=1) / math.pi
+    log_g = np.log(g)
+
+    def khat(ts, xi):
+        ts = np.asarray(ts, dtype=float)[:, None]
+        vv = ts * np.abs(xi) ** a
+        return np.exp(np.interp(vv, v, log_g, right=-np.inf)) \
+            * ts ** (-1.0 / a)
+    return khat
+
+
 def p_eval_many(model: KernelModel, t: float, xs, spec: QuadratureSpec = DEFAULT_SPEC):
     """Transition density p_t at an array of offsets, one shared quadrature."""
     return _fourier_rows(model, [t], xs, spec)[0]

@@ -285,6 +285,19 @@ class TestRunCommand:
         assert res.returncode == 1
         assert "does not cover the initial support radius 6" in res.stderr
 
+    @pytest.mark.parametrize("field,text", [
+        ("grid.L", '"L": 8.0'), ("grid.t_end", '"t_end": 0.2'),
+        ("sigma.lam", '"lam": 1.0'), ("measure.mass", '"mass": 1.0')])
+    def test_non_finite_number_exits_64(self, tmp_path, field, text):
+        # 1e400 parses to inf, which "type": "number" accepts
+        path, _ = small_config(tmp_path, claims=["mean_identity"])
+        body = path.read_text()
+        assert body.count(text) == 1
+        path.write_text(body.replace(text, text.split(":")[0] + ": 1e400"))
+        res = run_cli("run", str(path))
+        assert res.returncode == 64
+        assert f"$.{field}: inf is not a finite number" in res.stderr
+
     def test_failing_claim_exits_2(self, tmp_path, monkeypatch):
         def always_fail(model, u0, sigma, table, cfg):
             return BoundVerdict.from_comparison("always_fail", lhs=2.0,
