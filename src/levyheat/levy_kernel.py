@@ -219,8 +219,8 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     block = max(1, 4_000_000 // nodes.size)
     for i in range(0, xs.size, block):
         arg = np.multiply.outer(nodes, xs[i:i + block])
-        cos = np.cos(arg)
-        sin = None if d_sin is None else np.sin(arg, out=arg)
+        sin = None if d_sin is None else np.sin(arg)
+        cos = np.cos(arg, out=arg)
         for r in range(0, ts.size, ROW_CHUNK):
             rows = slice(r, r + ROW_CHUNK)
             out[rows, i:i + block] = d[rows] @ cos
@@ -519,18 +519,20 @@ def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
     m = 8 * max(n_offsets, 64)
     xi = np.linspace(0.0, nyquist, m + 1)
     ps = psi_eval(model, xi)
-    e = np.exp(-np.outer(lags, ps))
+    avg = 1.0
     if dt_average is not None:
         a = dt_average * ps
         avg = np.where(a < 1e-12, 1.0 - 0.5 * a, -np.expm1(-a) / np.where(a > 0, a, 1.0))
-        e = e * avg[None, :]
     h = nyquist / m
-    rows = _dct1(e) * (0.5 * h / math.pi)
-    # one-sided O(h^2) estimate of dE/dxi at the Nyquist edge, per lag row
-    de_end = (3.0 * e[:, -1] - 4.0 * e[:, -2] + e[:, -3]) / (2.0 * h)
-    signs = np.where(np.arange(rows.shape[1]) % 2 == 0, 1.0, -1.0)
-    rows -= np.outer(de_end, signs) * (h * h / (12.0 * math.pi))
-    return rows[:, :n_offsets]
+    signs = np.where(np.arange(n_offsets) % 2 == 0, 1.0, -1.0)
+    rows = np.empty((lags.size, n_offsets))
+    for r in range(0, lags.size, ROW_CHUNK):  # bounds the (lags, m) arrays
+        e = np.exp(-np.outer(lags[r:r + ROW_CHUNK], ps)) * avg
+        # one-sided O(h^2) estimate of dE/dxi at the Nyquist edge, per lag row
+        de_end = (3.0 * e[:, -1] - 4.0 * e[:, -2] + e[:, -3]) / (2.0 * h)
+        rows[r:r + ROW_CHUNK] = (_dct1(e)[:, :n_offsets] * (0.5 * h / math.pi)
+                                 - np.outer(de_end, signs) * (h * h / (12.0 * math.pi)))
+    return rows
 
 
 def interval_mass(model: KernelModel, t: float, c: float,

@@ -2,10 +2,11 @@
 
 Cell (i, j) holds the noise increment over [t_i, t_{i+1}) x [x_j, x_{j+1}),
 an independent Normal(0, dt*dx) draw. Cells are addressed by a counter-based
-generator keyed on the seed, so any row can be produced without generating
-its predecessors: cell q = i*nx + j consumes raw word q of the keyed Philox
-stream (each counter block carries four 64-bit words). This makes restart
-suffixes, single rows (noise_row) and the full matrix agree bit-exactly.
+generator keyed on the seed: cell q = i*nx + j consumes raw word q of the
+keyed Philox stream (four 64-bit words per counter block), so sample_noise's
+full matrix, restart suffixes and the rows noise_rows streams from any start
+row agree bit-exactly. The stream refills ROW_BLOCK cells at a time into one
+reused buffer, so a streamed march of b seeds holds O(b*nx) noise.
 
 The normal quantile is scipy.special.ndtri, loaded on the first draw rather
 than with the package, so runs that never sample noise never import scipy.
@@ -20,6 +21,11 @@ import numpy as np
 from .errors import AllocationLimit, OffsetOutOfRange
 
 MAX_CELLS = 1 << 26  # ~0.5 GiB of float64 increments
+
+# Cells per noise_rows refill, over all its seeds: refilling one row per
+# seed (6,144 cells) made the bundled 800-seed run 10-27% slower (three
+# paired runs, 2-core x86-64), from per-call overhead.
+ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,17 @@ class NoiseLattice:
         object.__setattr__(self, "increments", inc)
 
 
-def _raw_to_normal(raw: np.ndarray, scale: float) -> np.ndarray:
+def _raw_to_normal(raw: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """Normal(0, scale^2) draws from raw words, into out; overwrites raw."""
     # imported here, not at module level: scipy.special takes longer to
     # load than numpy, and only noise sampling needs it
     from scipy.special import ndtri
 
     # top 53 bits -> uniform on (0,1), then the normal quantile; the all-ones
     # word rounds to 1.0 (ndtri = inf), so clamp at the largest double below 1
-    u = (raw >> np.uint64(11)).astype(np.float64)
+    u = np.empty(raw.shape) if out is None else out
+    np.right_shift(raw, np.uint64(11), out=raw)
+    u[...] = raw
     u += 0.5
     u *= 2.0 ** -53
     np.minimum(u, 1.0 - 2.0 ** -53, out=u)
@@ -77,26 +86,35 @@ def sample_noise(dt: float, dx: float, nt: int, nx: int,
     if nt * nx > MAX_CELLS:
         raise AllocationLimit(
             f"{nt * nx} noise cells exceed the budget of {MAX_CELLS}; "
-            "generate rows one at a time with noise_row instead")
+            "stream its rows with noise_rows instead")
     bg = np.random.Philox(key=seed)
     raw = bg.random_raw(nt * nx).reshape(nt, nx)
     inc = _raw_to_normal(raw, float(np.sqrt(dt * dx)))
     return NoiseLattice(dt, dx, nt, nx, seed, inc)
 
 
-def noise_row(dt: float, dx: float, nx: int, seed: int, i: int,
-              t0_cells: int = 0) -> np.ndarray:
-    """Row i of the lattice, generated standalone.
+def noise_rows(dt: float, dx: float, nx: int, seeds, start: int, stop: int):
+    """Rows start..stop-1 of each seed's lattice, in order, one
+    (len(seeds), nx) array per row.
 
-    Bit-exact with sample_noise(...).increments[i] because the keyed
-    stream is addressed by absolute cell index.
+    Row i of seed s is bit-exact with sample_noise(dt, dx, nt, nx,
+    s).increments[i].  Each seed draws max(1, ROW_BLOCK // (len(seeds) nx))
+    rows per refill into one reused buffer, so a yielded row is valid only
+    until the next one is taken.
     """
-    q0 = (t0_cells + i) * nx
-    pre = q0 % 4
-    bg = np.random.Philox(key=seed)
-    bg.advance(q0 // 4)
-    raw = bg.random_raw(pre + nx)[pre:]
-    return _raw_to_normal(raw, float(np.sqrt(dt * dx)))
+    gens = [np.random.Philox(key=s).advance(start * nx // 4) for s in seeds]
+    for bg in gens:
+        bg.random_raw(start * nx % 4)  # on to word start*nx
+    k = max(1, ROW_BLOCK // (len(gens) * nx))
+    raw = np.empty((len(gens), k, nx), dtype=np.uint64)
+    buf = np.empty((len(gens), k, nx))
+    scale = float(np.sqrt(dt * dx))
+    for i in range(start, stop, k):
+        n = min(k, stop - i)
+        for g, bg in enumerate(gens):
+            raw[g, :n] = bg.random_raw(n * nx).reshape(n, nx)
+        _raw_to_normal(raw[:, :n], scale, out=buf[:, :n])
+        yield from buf[:, :n].swapaxes(0, 1)
 
 
 def shift_noise(n: NoiseLattice, t_offset_cells: int) -> NoiseLattice:

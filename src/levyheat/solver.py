@@ -61,7 +61,7 @@ from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
                           _xi_rule, bandlimited_rows, exterior_mass, frak_T,
                           gamma_k, p0_eval, psi_eval, upsilon_eval)
 from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
-from .noise_field import MAX_CELLS, NoiseLattice, sample_noise
+from .noise_field import MAX_CELLS, NoiseLattice, noise_rows
 
 __all__ = [
     "SigmaSpec", "sigma_linear", "sigma_saturating", "sigma_custom",
@@ -452,19 +452,19 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
 # Time stepping.
 # ---------------------------------------------------------------------------
 
-def march(lat: Lattice, sigma: SigmaSpec, noise: np.ndarray, observe, *,
+def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *, b: int = 1,
           state=None) -> None:
     """The one time-step loop: v <- v P + (sigma(u) W_j) K0, u = det_j + v.
 
-    The batch is (b, c, nx): b seeds, whose increments noise[:, j] (noise
-    is (b, steps, nx)) drive step j, by the c starts of lat, which share
-    that noise.  observe(j, u, v) gets the field and its noise part, both
-    (b, c, nx), after step j.  A fresh march starts at lat.det[:, 0] and
-    never reads noise row 0; state = (v, u) continues an earlier march
-    from rows 0 on.
+    The batch is (b, c, nx): b seeds, whose increments W_j drive step j,
+    by the c starts of lat, which share that noise.  The iterable noise
+    yields each (b, nx) W_j in step order, and each is used before the
+    next is taken, so a stream may reuse one buffer (noise_rows).
+    observe(j, u, v) gets the field and its noise part, both (b, c, nx),
+    after step j.  A fresh march starts at lat.det[:, 0] and takes W_1 ..
+    W_{steps-1}; state = (v, u) continues an earlier march from W_0 on.
     """
     c, steps, nx = lat.det.shape
-    b = noise.shape[0]
     if state is None:
         v = np.zeros((b * c, nx))
         u = np.broadcast_to(lat.det[:, 0], (b, c, nx)).copy()
@@ -472,8 +472,9 @@ def march(lat: Lattice, sigma: SigmaSpec, noise: np.ndarray, observe, *,
     else:
         v = np.reshape(state[0], (b * c, nx))
         u = np.reshape(state[1], (b, c, nx))
-    for j in range(1 if state is None else 0, steps):
-        shot = sigma.apply(u) * noise[:, None, j]
+    for j, w in zip(range(1 if state is None else 0, steps), noise,
+                    strict=True):
+        shot = sigma.apply(u) * w[:, None]
         v = lat.step(v, shot.reshape(b * c, nx))
         u = lat.det[:, j] + v.reshape(b, c, nx)
         observe(j, u, v.reshape(b, c, nx))
@@ -512,19 +513,17 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
 
     observe(first, j, u, v) is march's observer, also told the position
     in seeds of the chunk's first seed.  Chunks run concurrently, so it
-    may write only to slots of its own chunk.
+    may write only to slots of its own chunk.  A chunk streams its noise
+    step by step from noise_rows, so its memory is O(BATCH nx) whatever
+    the number of steps, and its draws are bit-exact with sample_noise.
     """
     seeds = list(seeds)
     steps, nx = lat.det.shape[1:]
-    if BATCH * steps * nx > MAX_CELLS:
-        raise AllocationLimit("seed chunk exceeds the allocation budget")
 
     def chunk(first):
         part = seeds[first:first + BATCH]
-        noise = np.empty((len(part), steps, nx))
-        for i, s in enumerate(part):
-            noise[i] = sample_noise(lat.dt, lat.dx, steps, nx, s).increments
-        march(lat, sigma, noise, functools.partial(observe, first))
+        march(lat, sigma, noise_rows(lat.dt, lat.dx, nx, part, 1, steps),
+              functools.partial(observe, first), b=len(part))
 
     _thread_map(chunk, range(0, len(seeds), BATCH), _worker_count())
 
@@ -575,7 +574,8 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     def keep(j, u, v):
         vals[j], vpart[j] = u[0, 0], v[0, 0]
 
-    march(lat, sigma, noise.increments[None], keep, state=state)
+    first = 1 if state is None else 0
+    march(lat, sigma, noise.increments[first:m, None], keep, state=state)
     return FieldLattice(grid=SpaceTimeGrid(dt * steps, lat.x_nodes, vals),
                         scheme="timestep", seed=noise.seed,
                         truncation_L=0.5 * nx * dx, dt=dt, noise_part=vpart,

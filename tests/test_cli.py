@@ -14,8 +14,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from levyheat import (ConfigInvalid, brownian, delta, mc_moments,
-                      sample_noise, sigma_linear)
+                      sigma_linear)
 from levyheat import cli
+from levyheat.noise_field import noise_rows
 from levyheat.cli import (BoundVerdict, kernel_info, load_experiment_config,
                           main)
 
@@ -425,17 +426,17 @@ class TestSimulateCommand:
 
     def test_one_march_serves_snapshots_and_moments(self, tmp_path,
                                                     monkeypatch):
-        calls = []
+        drawn = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return sample_noise(*args, **kwargs)
+        def counted(dt, dx, nx, seeds, start, stop):
+            drawn.extend(seeds)
+            return noise_rows(dt, dx, nx, seeds, start, stop)
 
-        # every levyheat namespace that binds the sampler counts
+        # every levyheat namespace that binds the noise stream counts
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "levyheat" and \
-                    getattr(mod, "sample_noise", None) is sample_noise:
-                monkeypatch.setattr(mod, "sample_noise", counted)
+                    getattr(mod, "noise_rows", None) is noise_rows:
+                monkeypatch.setattr(mod, "noise_rows", counted)
         # the last snapshot lies past t_end: the march runs to it
         path, doc = self.sim_config(
             tmp_path, sigma={"kind": "linear", "lam": 1.0},
@@ -443,7 +444,7 @@ class TestSimulateCommand:
                      "snapshot_times": [0.1, 0.3], "t_probes": [0.1, 0.2],
                      "ks": [1]}, t_end=0.2)
         assert main(["simulate", str(path)]) == 0
-        assert len(calls) == len(doc["seeds"])
+        assert sorted(drawn) == sorted(doc["seeds"])  # each seed once
         out = Path(doc["outputs"]["dir"])
         snaps = read_csv(out / "snapshots.csv")
         assert {float(r["t"]) for r in snaps} == {0.1, 0.3}

@@ -3,12 +3,14 @@ import pytest
 
 from levyheat import AllocationLimit, OffsetOutOfRange
 from levyheat.noise_field import (
+    ROW_BLOCK,
     NoiseLattice,
     _raw_to_normal,
-    noise_row,
+    noise_rows,
     sample_noise,
     shift_noise,
 )
+from levyheat.solver import BATCH
 
 N_REPS = 10_000
 
@@ -37,7 +39,21 @@ class TestDeterminism:
     def test_streaming_matches_matrix(self):
         full = sample_noise(0.1, 0.2, 7, 13, seed=99).increments
         for i in range(7):
-            assert np.array_equal(noise_row(0.1, 0.2, 13, 99, i), full[i])
+            row, = noise_rows(0.1, 0.2, 13, [99], i, i + 1)
+            assert np.array_equal(row[0], full[i])
+
+    @pytest.mark.parametrize("b,nx,start,stop", [
+        (1, 4099, 5, 40),       # 15 rows per refill
+        (BATCH, 1001, 3, 12),   # 2 rows per refill
+    ])
+    def test_stream_matches_matrix_across_refills(self, b, nx, start, stop):
+        assert nx % 4 and ROW_BLOCK // (b * nx) < stop - start
+        seeds = range(100, 100 + b)
+        full = np.array([sample_noise(0.1, 0.2, stop, nx, s).increments
+                         for s in seeds])
+        got = np.array([row.copy() for row in
+                        noise_rows(0.1, 0.2, nx, seeds, start, stop)])
+        assert np.array_equal(got, full[:, start:].swapaxes(0, 1))
 
     def test_longer_run_shares_prefix(self):
         # counter addressing: extending nt must not disturb earlier rows
@@ -106,8 +122,9 @@ class TestShift:
     def test_shifted_rows_regenerable(self):
         lat = sample_noise(0.1, 0.2, 7, 13, seed=99)
         sh = shift_noise(lat, 3)
-        regen = noise_row(0.1, 0.2, 13, 99, 0, t0_cells=3)
-        assert np.array_equal(sh.increments[0], regen)
+        regen = np.array([r.copy() for r in
+                          noise_rows(0.1, 0.2, 13, [99], 3, 7)])
+        assert np.array_equal(sh.increments, regen[:, 0])
 
     @pytest.mark.parametrize("offset", [-1, 6, 100])
     def test_offset_out_of_range(self, offset):

@@ -41,11 +41,12 @@ from levyheat import (
 from levyheat import levy_kernel
 from levyheat.errors import TruncationTooSmall
 from levyheat.levy_kernel import ROW_CHUNK, bandlimited_rows
-from levyheat.solver import (FFT_MIN_NX, _det_rows,
+from levyheat.noise_field import noise_rows
+from levyheat.solver import (BATCH, FFT_MIN_NX, _det_rows,
                              _deterministic_distance_time,
                              _flat_second_moment, _propagators,
                              _toeplitz, build_lattice, check_truncation, march,
-                             x_centers)
+                             march_seeds, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -330,7 +331,8 @@ class TestPropagators:
         noise = np.array([sample_noise(dt, dx, 10, nx, s).increments
                           for s in range(3)])
         got = []
-        march(lat, PAM, noise, lambda j, u, v: got.append(v.copy()))
+        march(lat, PAM, noise_rows(dt, dx, nx, range(3), 1, 10),
+              lambda j, u, v: got.append(v.copy()), b=3)
         # the march loop with P and K0 as explicit matrices
         p, k0 = dense_propagators(BM, dt, dx, nx)
         v = np.zeros((6, nx))
@@ -357,6 +359,23 @@ class TestPropagators:
         finally:
             tracemalloc.stop()
         assert peak < nx * nx  # an nx x nx float array takes 8 nx^2 bytes
+
+
+    def test_seed_chunk_memory_flat_in_steps(self):
+        # a chunk streams its noise: no (BATCH, steps, nx) block is held
+        nx, dx, dt = 512, 1.0 / 32, 1e-3
+        peaks = {}
+        for steps in (50, 400):
+            lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx,
+                                steps=range(1, steps + 1))
+            tracemalloc.start()
+            try:
+                march_seeds(lat, PAM, range(BATCH), lambda *_: None)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] < 1.25 * peaks[50]
+        assert peaks[400] < BATCH * 400 * nx  # the old block: 8 B a cell
 
 
 class TestPicard:
