@@ -383,7 +383,6 @@ def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
         "libraries": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
             "jsonschema": importlib.metadata.version("jsonschema"),
         },
         "seeds": list(seeds),

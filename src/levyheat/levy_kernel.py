@@ -16,6 +16,7 @@ exponent is supported for experimentation with the same machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -192,7 +193,7 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     t_hi, so t_hi sees panels as fine near 0 as its own rule would give.
     With D = damp * weights * u_hat the rows are Re(D) cos(xi x) +
     Im(D) sin(xi x) in real arithmetic (no sin product when u_hat is
-    real), blocked over x so each phase array stays ~32 MB, one GEMM per
+    real), blocked over x so each phase array stays ~8 MB, one GEMM per
     ROW_CHUNK rows.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -216,7 +217,7 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     d_sin = d * uh.imag if np.any(np.imag(uh)) else None
     d = d * np.real(uh)
     out = np.empty((ts.size, xs.size))
-    block = max(1, 4_000_000 // nodes.size)
+    block = max(1, 1_000_000 // nodes.size)
     for i in range(0, xs.size, block):
         arg = np.multiply.outer(nodes, xs[i:i + block])
         sin = None if d_sin is None else np.sin(arg)
@@ -401,6 +402,25 @@ def theta_estimate(model: KernelModel, t_grid=None,
     return float(max(ratios))
 
 
+def _memo_by_model(fn):
+    """Cache fn(model, k, lip) on the model's parameters and (k, lip) to 12
+    digits. Tabulated models, whose tables are arrays, and calls passing
+    further arguments are computed afresh."""
+    cache: dict[tuple, float] = {}
+
+    @functools.wraps(fn)
+    def cached(model: KernelModel, k: float, lip: float, *args, **kwargs):
+        if args or kwargs or model.kind == "tabulated":
+            return fn(model, k, lip, *args, **kwargs)
+        key = (model.kind, model.kappa, model.alpha, round(k, 12),
+               round(lip, 12))
+        if key not in cache:
+            cache[key] = fn(model, k, lip)
+        return cache[key]
+    return cached
+
+
+@_memo_by_model
 def gamma_k(model: KernelModel, k: float, lip: float,
             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Moment growth threshold: smallest beta with upsilon(2 beta/k) < 1/(4 k lip^2)."""
@@ -458,6 +478,7 @@ def g_eval(model: KernelModel, a: float,
     return 0.5 * (lo + hi)
 
 
+@_memo_by_model
 def frak_T(model: KernelModel, k: float, lip: float, theta: float | None = None,
            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Short-horizon bound for the order-k moment theory.

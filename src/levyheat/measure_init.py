@@ -120,14 +120,14 @@ def fourier_u0(u0: FiniteMeasure, xi):
         w[0] = 0.5 * (g[1] - g[0])
         w[-1] = 0.5 * (g[-1] - g[-2])
         # cos and sin sums in real arithmetic, blocked over xi so each
-        # phase array stays ~32 MB
+        # phase array stays ~8 MB
         wv = w * v
         xf, dens = x.reshape(-1), out.reshape(-1)
-        block = max(1, 4_000_000 // g.size)
+        block = max(1, 1_000_000 // g.size)
         for i in range(0, xf.size, block):
             arg = np.multiply.outer(xf[i:i + block], g)
-            dens[i:i + block] += (np.cos(arg) @ wv
-                                  + 1j * (np.sin(arg, out=arg) @ wv))
+            sin = np.sin(arg) @ wv
+            dens[i:i + block] += np.cos(arg, out=arg) @ wv + 1j * sin
     return out if np.ndim(xi) else complex(out)
 
 

@@ -607,18 +607,6 @@ def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
     return rows
 
 
-_FRAKT_CACHE: dict[tuple, float] = {}
-
-
-def _cached_frak_T(model: KernelModel, k: float, lip: float) -> float:
-    if model.kind == "tabulated":
-        return frak_T(model, k, lip)
-    key = (model.kind, model.kappa, model.alpha, round(k, 12), round(lip, 12))
-    if key not in _FRAKT_CACHE:
-        _FRAKT_CACHE[key] = frak_T(model, k, lip)
-    return _FRAKT_CACHE[key]
-
-
 def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                    noise: NoiseLattice, n: int, *,
                    k: float = 2.0) -> FieldLattice:
@@ -635,7 +623,7 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         raise ValueError("Picard stage must be >= 0")
     dt, dx, nx, nt = noise.dt, noise.dx, noise.nx, noise.nt
     horizon = nt * dt
-    t_max = _cached_frak_T(model, k, sigma.lip)
+    t_max = frak_T(model, k, sigma.lip)
     if horizon > t_max * (1 + 1e-9):
         raise HorizonExceeded(
             f"lattice horizon {horizon:g} exceeds the order-{k:g} moment "

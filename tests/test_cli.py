@@ -59,6 +59,16 @@ def small_config(tmp_path, **overrides):
     return path, doc
 
 
+def scipy_modules_after(command, path):
+    """Child process that runs `levyheat command path` in process, then
+    prints the sorted scipy modules it loaded."""
+    code = ("import sys; from levyheat import cli; "
+            f"assert cli.main([{command!r}, {str(path)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    return subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                          capture_output=True, text=True)
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -191,17 +201,19 @@ class TestRunCommand:
         assert "time" not in json.dumps(manifest).lower()
 
     def test_run_without_claims_leaves_scipy_unloaded(self, tmp_path):
-        # the manifest reads scipy's version from package metadata
+        # scipy is a test dependency only, so the manifest does not name it
         path, doc = small_config(tmp_path, claims=[])
-        code = ("import sys; from levyheat import cli; "
-                f"assert cli.main(['run', {str(path)!r}]) == 0; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        res = subprocess.run([sys.executable, "-c", code], env=cli_env(),
-                             capture_output=True, text=True)
+        res = scipy_modules_after("run", path)
         assert res.stdout.strip() == "[]", res.stderr
         manifest = json.loads(
             (Path(doc["output_dir"]) / "manifest.json").read_text())
-        assert manifest["libraries"]["scipy"]
+        assert "scipy" not in manifest["libraries"]
+
+    def test_run_with_claims_leaves_scipy_unloaded(self, tmp_path):
+        # noise sampling and the claim checks run on numpy alone
+        path, _ = small_config(tmp_path)
+        res = scipy_modules_after("run", path)
+        assert res.stdout.splitlines()[-1:] == ["[]"], res.stderr
 
     def test_rerun_is_bit_identical(self, tmp_path):
         path, doc = small_config(tmp_path)
@@ -381,6 +393,12 @@ class TestSimulateCommand:
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(doc))
         return path, doc
+
+    def test_simulate_leaves_scipy_unloaded(self, tmp_path):
+        path, _ = self.sim_config(tmp_path,
+                                  sigma={"kind": "linear", "lam": 1.0})
+        res = scipy_modules_after("simulate", path)
+        assert res.stdout.splitlines()[-1:] == ["[]"], res.stderr
 
     def test_noiseless_snapshots_equal_heat_kernel(self, tmp_path):
         path, doc = self.sim_config(tmp_path)

@@ -221,6 +221,34 @@ def test_gamma_monotone_in_k_and_lip():
     assert np.all(np.diff(gl) > 0)
 
 
+def test_gamma_and_frak_T_computed_once_per_model(monkeypatch):
+    import levyheat.levy_kernel as lk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = lk.upsilon_eval
+    monkeypatch.setattr(lk, "upsilon_eval", counted)
+    model = brownian(0.37)  # a model no other test computes
+    first = gamma_k(model, 2.0, 1.0)
+    n = len(calls)
+    assert n > 0
+    assert gamma_k(brownian(0.37), 2.0, 1.0) == first
+    assert len(calls) == n
+    # a tabulated exponent is an array, not a key: computed afresh
+    xi = np.linspace(0.0, 200.0, 2001)
+    table = tabulated(xi, 0.37 * xi ** 2 / 2.0)
+    gamma_k(table, 2.0, 1.0)
+    mid = len(calls)
+    gamma_k(table, 2.0, 1.0)
+    assert len(calls) - mid == mid - n > 0
+    assert frak_T(model, 2.0, 1.0) == frak_T(model, 2.0, 1.0)
+    # an explicit theta bypasses the cache
+    assert frak_T(model, 2.0, 1.0, theta=2.0) != frak_T(model, 2.0, 1.0)
+
+
 def test_p0_integral_brownian_closed_form():
     for t in (0.01, 1.0, 7.0):
         assert_allclose(p0_integral(brownian(), t), math.sqrt(2.0 * t / math.pi),

@@ -1,10 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from levyheat import AllocationLimit, OffsetOutOfRange
 from levyheat.noise_field import (
     ROW_BLOCK,
     NoiseLattice,
+    _E2,
+    _ndtri,
     _raw_to_normal,
     noise_rows,
     sample_noise,
@@ -131,6 +137,52 @@ class TestShift:
         lat = sample_noise(0.1, 0.2, 6, 4, seed=5)
         with pytest.raises(OffsetOutOfRange):
             shift_noise(lat, offset)
+
+
+def uniforms(raw):
+    """The uniforms _raw_to_normal feeds the quantile, from raw words."""
+    u = ((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
+
+
+class TestQuantile:
+    """The numpy Cephes ndtri against scipy.special.ndtri."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        raw = np.random.Philox(key=2024).random_raw(1 << 22)
+        u = uniforms(raw)
+        return u, _raw_to_normal(raw, 1.0), ndtri(u)
+
+    def test_central_branch_is_bit_exact(self, draws):
+        u, got, ref = draws
+        central = (u > _E2) & (u <= 1.0 - _E2)
+        assert central.sum() > 0.7 * u.size
+        assert np.array_equal(got[central], ref[central])
+
+    def test_tails_within_five_ulp(self, draws):
+        u, got, ref = draws
+        tail = (u <= _E2) | (u > 1.0 - _E2)
+        assert tail.sum() > 0.25 * u.size
+        ulp = np.abs(got[tail] - ref[tail]) / np.spacing(np.abs(ref[tail]))
+        assert ulp.max() <= 5.0
+
+    def test_branch_edges_are_bit_exact(self):
+        edges = [_E2, 1.0 - _E2, math.exp(-32.0)]
+        u = np.array([v for e in edges
+                      for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))])
+        got = _ndtri(u.copy(), np.empty_like(u), np.empty((3, u.size)))
+        assert np.array_equal(got, ndtri(u))
+
+    def test_sample_noise_converts_in_place(self):
+        nt, nx = 1 << 11, 1 << 11
+        tracemalloc.start()
+        try:
+            lat = sample_noise(0.1, 0.2, nt, nx, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * lat.increments.nbytes
 
 
 class TestLimitsAndIO:
