@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllocationLimit, InsufficientRange
-from .levy_kernel import KernelModel, gamma_k, p0_eval
+from .levy_kernel import KernelModel, _unique, gamma_k, p0_eval
 from .measure_init import FiniteMeasure, heat_convolve_many
 from .noise_field import MAX_CELLS
 from .solver import (MomentTable, SigmaSpec, build_lattice, check_truncation,
@@ -172,7 +172,7 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     gam = 0.0 if lip == 0.0 else gamma_k(model, kk, lip)
     envelope = np.empty(t.size)
     shape_pow = np.empty(t.size)
-    for tv in np.unique(t):
+    for tv in _unique(t):
         rows = np.flatnonzero(t == tv)
         pt0 = p0_eval(model, float(tv))
         ptu = heat_convolve_many(model, u0, float(tv), x[rows])
@@ -185,7 +185,7 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
     # (shape-dominated at small t, growth-dominated at large t), so the
     # extremes must be fitted, not verified, or a zero-noise table fails
     # on a hairline at the boundary; interior slices stay held out
-    t_unique = np.unique(t)
+    t_unique = _unique(t)
     n_t = t_unique.size
     idx = np.arange(n_t)
     train_sel = (idx % 2 == 0) | (idx == n_t - 1)
@@ -317,8 +317,8 @@ def tail_decay_fit(moments: MomentTable, K: float) -> float:
     """
     if K < 0:
         raise ValueError("support radius must be nonnegative")
-    t_unique = np.unique(moments.t)
-    k_unique = np.unique(moments.k)
+    t_unique = _unique(moments.t)
+    k_unique = _unique(moments.k)
     if t_unique.size != 1:
         raise ValueError("tail fit needs rows at a single time")
     if k_unique.size != 1:
@@ -454,7 +454,7 @@ def lyapunov_fit(moments: MomentTable, k: float, *,
     sel = np.isclose(moments.k, k)
     if not np.any(sel):
         raise ValueError(f"moment table has no rows of order k={k:g}")
-    xs = np.unique(moments.x[sel])
+    xs = _unique(moments.x[sel])
     if xs.size > 1:
         if x is None:
             raise ValueError("several x columns present; pass x= to pick one")
@@ -463,7 +463,7 @@ def lyapunov_fit(moments: MomentTable, k: float, *,
     t = moments.t[pos]
     m = moments.raw_moment[pos]
     r = moments.raw_std_error[pos]
-    if np.unique(t).size < 3:
+    if _unique(t).size < 3:
         raise InsufficientRange("rate fit needs at least three times")
 
     y = np.log(m)

@@ -26,8 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
-import importlib.metadata
 import json
 import math
 import platform
@@ -42,8 +40,9 @@ import numpy as np
 from . import __version__
 from .analysis import BoundVerdict, check_exist_unique_bound
 from .errors import ConfigInvalid, DivergentResolvent, LevyHeatError
-from .levy_kernel import (KernelModel, brownian, frak_T, g_eval, gamma_k,
-                          stable, tabulated, theta_estimate, upsilon_eval)
+from .levy_kernel import (KernelModel, _unique, brownian, frak_T, g_eval,
+                          gamma_k, stable, tabulated, theta_estimate,
+                          upsilon_eval)
 from .measure_init import (FiniteMeasure, delta,
                            make_positive_definite_example, measure_from_json)
 from .solver import (SigmaSpec, mc_moments, sigma_custom, sigma_linear,
@@ -271,7 +270,7 @@ def _mean_identity_check(model, u0, sigma, table, cfg) -> BoundVerdict:
     est, se = table.estimate[sel], table.std_error[sel]
     lat = table.lattice  # the very rows the march added
     ptu = np.empty_like(est)
-    for tv in np.unique(t):
+    for tv in _unique(t):
         m = t == tv
         cols = [int(np.argmin(np.abs(lat.x_nodes - xv))) for xv in x[m]]
         ptu[m] = lat.det[0, int(round(tv / lat.dt)) - 1, cols]
@@ -377,6 +376,9 @@ def _canonical_bytes(doc) -> bytes:
 
 def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
     """Config hash, tool and library versions, seeds and output files."""
+    import hashlib  # with importlib.metadata, only the writers need these
+    import importlib.metadata
+
     return {
         "config_sha256": hashlib.sha256(_canonical_bytes(doc)).hexdigest(),
         "tool": {"name": "levyheat", "version": __version__},
@@ -470,6 +472,7 @@ def _kernel_cmd(json_text: str) -> int:
         val = doc.get(key)
         if val is not None and (not isinstance(val, list) or not val):
             raise ConfigInvalid(f"{key} must be a non-empty list of numbers")
+    _check_finite(doc)
     try:  # every input here is the user's, so a bad value is the config's
         out = kernel_info(doc["kernel"],
                           beta_list=doc.get("beta", [1.0]),
@@ -478,7 +481,9 @@ def _kernel_cmd(json_text: str) -> int:
                           lip=doc.get("lip", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"kernel command: {_one_line(exc)}") from exc
-    print(json.dumps(out))
+    if "g" in out:  # g_eval's inf (the clock saturates below a) is null
+        out["g"] = [g if math.isfinite(g) else None for g in out["g"]]
+    print(json.dumps(out, allow_nan=False))
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ from .levy_kernel import (
     _fast_len,
     _fourier_rows,
     _gauss_rule,
+    _unique,
     p0_eval,
     p0_integral,
     theta_estimate,
@@ -101,7 +102,7 @@ def graded_times(t_max: float, n: int = 96, include=()) -> np.ndarray:
     """Quartically graded time mesh on (0, t_max], unioned with required
     nodes."""
     base = t_max * (np.arange(1, n + 1) / n) ** 4.0
-    ts = np.unique(np.concatenate([base, np.asarray(include, dtype=float)]))
+    ts = _unique(np.concatenate([base, np.asarray(include, dtype=float)]))
     if ts.size and (ts[0] <= 0 or ts[-1] > t_max * (1 + 1e-12)):
         raise ValueError("required nodes must lie in (0, t_max]")
     return ts

@@ -149,6 +149,18 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
+def _unique(values) -> np.ndarray:
+    """np.unique(values) bit for bit for NaN-free input: the same sort,
+    then the first of each run of equal values (so 0.0 and -0.0 keep
+    whichever the sort puts first).  np.unique asks np.ma whether its
+    input is masked, which imports numpy.ma on its first call."""
+    a = np.sort(np.ravel(values))
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
              n_geo: int = 28):
     """Gauss-Legendre nodes/weights on [0, cutoff].

@@ -44,7 +44,6 @@ import math
 import os
 import warnings
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -495,6 +494,8 @@ def _worker_count() -> int:
 def _thread_map(fn, chunks, workers):
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # only a fan-out needs it
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         futures = [ex.submit(fn, c) for c in chunks]
         return [f.result() for f in futures]  # chunk order, not finish order

@@ -1,6 +1,7 @@
 """End-to-end checks of the levyheat command line interface."""
 
 import csv
+import importlib.metadata
 import io
 import json
 import math
@@ -123,6 +124,27 @@ class TestKernelInfo:
                       '{"kernel": {"kind": "brownian"}, "beta": [-1]}')
         assert res.returncode == 64
 
+    @pytest.mark.parametrize("key, text, path", [
+        ("lip", "1e400", "$.lip"),
+        ("k", "[1e400]", "$.k[0]"),
+        ("beta", "[1e400]", "$.beta[0]"),
+    ])
+    def test_kernel_subcommand_rejects_non_finite(self, key, text, path):
+        res = run_cli("kernel",
+                      f'{{"kernel": {{"kind": "brownian"}}, "{key}": {text}}}')
+        assert res.returncode == 64
+        assert f"{path}: inf is not a finite number" in res.stderr
+        assert res.stdout == ""
+
+    def test_kernel_subcommand_writes_saturated_g_as_null(self):
+        # the kernel-mass clock of Brownian motion saturates below a = 1e300
+        res = run_cli("kernel",
+                      '{"kernel": {"kind": "brownian"}, "a": [1.0, 1e300]}')
+        assert res.returncode == 0
+        assert "Infinity" not in res.stdout and "NaN" not in res.stdout
+        doc = json.loads(res.stdout)
+        assert doc["g"][1] is None and doc["g"][0] > 0
+
 
 class TestConfigValidation:
     def test_bundled_config_loads(self):
@@ -208,6 +230,9 @@ class TestRunCommand:
         manifest = json.loads(
             (Path(doc["output_dir"]) / "manifest.json").read_text())
         assert "scipy" not in manifest["libraries"]
+        # the manifest writer imports importlib.metadata for this itself
+        assert manifest["libraries"]["jsonschema"] == \
+            importlib.metadata.version("jsonschema")
 
     def test_run_with_claims_leaves_scipy_unloaded(self, tmp_path):
         # noise sampling and the claim checks run on numpy alone

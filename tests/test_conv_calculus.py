@@ -82,6 +82,46 @@ class TestSpaceTimeGrid:
         with pytest.raises(ValueError):
             graded_times(1.0, include=[1.5])
 
+    @pytest.mark.parametrize("n", [120, 240])
+    def test_graded_times_match_np_unique_on_oracle_meshes(self, n):
+        # the oracle's meshes, built by np.unique before graded_times took
+        # the sort-based helper; a node listed twice or already on the mesh
+        # (t_max itself) appears once
+        include = np.array([0.1, 0.3, 0.1, 0.3])
+        base = 0.3 * (np.arange(1, n + 1) / n) ** 4.0
+        ts = graded_times(0.3, n, include=include)
+        assert np.array_equal(ts, np.unique(np.concatenate([base, include])))
+        assert ts.size == n + 1
+
+
+class TestUnique:
+    """levy_kernel._unique is np.unique bit for bit, without numpy.ma."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 2.0, 1.0, 3.0],
+        [0.0, -0.0, 1.0],
+        [-0.0, 0.0, 1.0],
+        [1.0, 0.0, -0.0, 0.0, -1.0],
+        [],
+        [5.0],
+    ])
+    def test_matches_np_unique(self, values):
+        a = np.array(values, dtype=float)
+        assert self.same_bits(levy_kernel._unique(a), np.unique(a))
+
+    def test_matches_np_unique_on_long_unsorted_input(self):
+        rng = np.random.default_rng(11)
+        a = rng.integers(-50, 50, 5000) * 0.25
+        a[rng.integers(0, a.size, 200)] = -0.0
+        for values in (a, a.reshape(50, 100), rng.permutation(a)):
+            assert self.same_bits(levy_kernel._unique(values),
+                                  np.unique(values))
+
 
 class TestDiagonalConvolution:
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 7.3])

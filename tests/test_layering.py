@@ -5,6 +5,7 @@ entry points above the quadrature layer take no tuning knobs."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -48,17 +49,54 @@ def test_checker_sees_private_imports(tmp_path):
                                     (3, "analysis", "_ensemble_rows")]
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy (scipy.signal above all) and the schema validator cost more
-    # import time than numpy; the package loads them where they are used
+def package_env():
+    """The environment of a child process that imports this levyheat."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy (scipy.signal above all) and the schema validator cost more
+    # import time than numpy; the package loads them where they are used
     code = ("import sys, levyheat; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Loaded by `import levyheat`: every layer module, which a tracer may look
+# up in sys.modules right after the import.  Not loaded, before or after a
+# continuum oracle call on delta data: the manifest writer's
+# importlib.metadata (which brings email) and hashlib, numpy.ma (which
+# np.unique imports) and the thread pool of a multi-chunk ensemble.
+LAYERS = ("cli", "analysis", "solver", "conv_calculus", "levy_kernel",
+          "measure_init", "noise_field")
+DEFERRED = ("importlib.metadata", "email", "hashlib", "numpy.ma",
+            "concurrent.futures")
+
+
+def test_start_up_module_set():
+    code = f"""
+import json, sys, levyheat
+def loaded():
+    return {{"layers": [n for n in {LAYERS!r}
+                       if "levyheat." + n not in sys.modules],
+            "deferred": sorted(m for m in sys.modules for d in {DEFERRED!r}
+                               if m == d or m.startswith(d + "."))}}
+after_import = loaded()
+levyheat.pam_second_moment_oracle(
+    levyheat.brownian(1.0), levyheat.delta(), 1.0, [0.1, 0.3],
+    [-1.0, 0.0, 1.0], mode="continuum")
+print(json.dumps([after_import, loaded()]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         capture_output=True, text=True, check=True)
+    after_import, after_oracle = json.loads(out.stdout)
+    assert after_import == {"layers": [], "deferred": []}
+    assert after_oracle["deferred"] == []
 
 
 def test_all_lists_each_imported_name_once():

@@ -118,6 +118,44 @@ def test_positive_definite_example():
     assert np.all(hat.real >= 0.5 - 1e-9)
 
 
+def complex_path_hat(u0, xi):
+    """u0_hat by the complex exponential sum, with no symmetry shortcut."""
+    hat = sum(m * np.exp(1j * xi * y) for y, m in u0.atoms)
+    g, v = u0.density_grid, u0.density_values
+    w = np.empty_like(g)
+    w[1:-1] = 0.5 * (g[2:] - g[:-2])
+    w[0], w[-1] = 0.5 * (g[1] - g[0]), 0.5 * (g[-1] - g[-2])
+    return hat + np.exp(1j * np.multiply.outer(xi, g)) @ (w * v)
+
+
+def test_symmetric_measure_has_real_transform():
+    # the example's arange grid is a few ulps off mirror-exact
+    pd = make_positive_definite_example(0.5)
+    assert pd.density_grid[-1] != -pd.density_grid[0]
+    grid = np.linspace(-2.0, 2.0, 81)
+    pair = FiniteMeasure(atoms=((-1.5, 0.25), (0.0, 1.0), (1.5, 0.25)),
+                         density_grid=grid, density_values=1.0 + grid ** 2,
+                         support_radius=2.0)
+    xi = np.linspace(-40.0, 40.0, 161)
+    for u0 in (pd, pair):
+        hat = fourier_u0(u0, xi)
+        assert hat.dtype == complex and np.all(hat.imag == 0.0)
+        assert_allclose(hat, complex_path_hat(u0, xi), rtol=0,
+                        atol=1e-12 * u0.total_mass)
+        assert fourier_u0(u0, 3.0).imag == 0.0
+
+
+def test_off_centre_atom_keeps_its_sine_part():
+    xi = np.linspace(-10.0, 10.0, 41)
+    for u0 in (delta(at=0.5),
+               FiniteMeasure(atoms=((-1.0, 1.0), (1.0, 1.5)),
+                             support_radius=1.0)):
+        hat = fourier_u0(u0, xi)
+        assert np.any(np.abs(hat.imag) > 0.1)
+        assert_allclose(hat, sum(m * np.exp(1j * xi * y)
+                                 for y, m in u0.atoms), rtol=0, atol=1e-14)
+
+
 def test_json_round_trip():
     doc = {"atoms": [[0.5, 0.25]], "support_radius": 2.0,
            "density": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}
