@@ -31,7 +31,6 @@ import math
 import platform
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable
 
@@ -70,10 +69,6 @@ VERDICT_COLUMNS = ("claim_id", "lhs", "rhs", "std_error", "pass")
 REPORT_COLUMNS = ("t", "x", "k", "estimate", "bound")
 SNAPSHOT_COLUMNS = ("seed", "t", "x", "u")
 
-_SCHEMA_FILES = ("experiment_config.schema.json",
-                 "simulate_config.schema.json")
-
-
 # ---------------------------------------------------------------------------
 # Config loading and validation.
 # ---------------------------------------------------------------------------
@@ -96,23 +91,6 @@ def _one_line(exc) -> str:
     return " ".join(str(exc).split())
 
 
-def _schema_doc(name: str) -> dict:
-    text = resources.files("levyheat").joinpath("schemas", name).read_text()
-    return json.loads(text)
-
-
-# jsonschema and referencing are imported where a config is validated, so
-# `kernel`, `report` and `import levyheat` start without them.
-def _validator(name: str):
-    import jsonschema
-    from referencing import Registry, Resource
-
-    docs = [Resource.from_contents(_schema_doc(n)) for n in _SCHEMA_FILES]
-    registry = Registry().with_resources([(r.id(), r) for r in docs])
-    return jsonschema.Draft202012Validator(_schema_doc(name),
-                                           registry=registry)
-
-
 def _check_finite(node, path: str = "$") -> None:
     """Reject numbers past the float range, which JSON parses to inf (or
     NaN) and the schema's "type": "number" lets through.  An infinite
@@ -129,12 +107,11 @@ def _check_finite(node, path: str = "$") -> None:
 
 
 def _validate_doc(doc, schema_name: str) -> None:
-    import jsonschema
+    from .schema import first_error  # only the validating commands load it
 
-    errors = list(_validator(schema_name).iter_errors(doc))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ConfigInvalid(f"{best.json_path}: {_one_line(best.message)}")
+    err = first_error(doc, schema_name)
+    if err:
+        raise ConfigInvalid(err)
     _check_finite(doc)
 
 
@@ -376,8 +353,7 @@ def _canonical_bytes(doc) -> bytes:
 
 def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
     """Config hash, tool and library versions, seeds and output files."""
-    import hashlib  # with importlib.metadata, only the writers need these
-    import importlib.metadata
+    import hashlib  # only the writers need it
 
     return {
         "config_sha256": hashlib.sha256(_canonical_bytes(doc)).hexdigest(),
@@ -385,7 +361,6 @@ def _manifest_doc(doc: dict, seeds, files: dict) -> dict:
         "libraries": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "jsonschema": importlib.metadata.version("jsonschema"),
         },
         "seeds": list(seeds),
         "replicas": len(seeds),

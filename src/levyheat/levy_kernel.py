@@ -170,23 +170,29 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
     osc_scale) subdivide each panel so one GL-48 subpanel never carries
     more than ~32 radians of phase, where the rule is spectrally exact.
     """
-    edges = [0.0] + [cutoff * 2.0 ** (-j) for j in range(n_geo, -1, -1)]
+    edges = np.array([0.0] + [cutoff * 2.0 ** (-j)
+                              for j in range(n_geo, -1, -1)])
+    a, b = edges[:-1], edges[1:]
     z, w = _gauss_rule(48)
-    nodes_all, weights_all = [], []
-    total = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(1, int(math.ceil(osc_scale * (b - a) / 32.0)))
-        total += m * z.size
-        if total > spec.nodes:
-            raise QuadratureUnderresolved(
-                f"xi quadrature needs more than the budget of {spec.nodes} "
-                f"nodes (cutoff {cutoff:g}, oscillation scale {osc_scale:g})"
-            )
-        sub = np.linspace(a, b, m + 1)
-        half = 0.5 * (sub[1:] - sub[:-1])
-        nodes_all.append((half[:, None] * (z + 1.0) + sub[:-1, None]).ravel())
-        weights_all.append((half[:, None] * w).ravel())
-    return np.concatenate(nodes_all), np.concatenate(weights_all)
+    m = np.maximum(1.0, np.ceil(osc_scale * (b - a) / 32.0))  # sub-panels
+    if not m.sum() * z.size <= spec.nodes:
+        raise QuadratureUnderresolved(
+            f"xi quadrature needs more than the budget of {spec.nodes} "
+            f"nodes (cutoff {cutoff:g}, oscillation scale {osc_scale:g})"
+        )
+    # Every panel's sub-panel ends at once, with np.linspace(a, b, m + 1)'s
+    # arithmetic, k * ((b - a) / m) + a with the last end set to b, so the
+    # rule is the per-panel one bit for bit.
+    m = m.astype(np.intp)
+    last = np.cumsum(m) - 1
+    k = (np.arange(last[-1] + 1) - np.repeat(last + 1 - m, m)).astype(float)
+    step, start = np.repeat((b - a) / m, m), np.repeat(a, m)
+    left = k * step + start
+    right = (k + 1.0) * step + start
+    right[last] = b
+    half = 0.5 * (right - left)
+    return ((half[:, None] * (z + 1.0) + left[:, None]).ravel(),
+            (half[:, None] * w).ravel())
 
 
 # Rows per GEMM in _fourier_rows; a lone row would go through gemv and

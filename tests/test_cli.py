@@ -1,7 +1,6 @@
 """End-to-end checks of the levyheat command line interface."""
 
 import csv
-import importlib.metadata
 import io
 import json
 import math
@@ -60,12 +59,18 @@ def small_config(tmp_path, **overrides):
     return path, doc
 
 
-def scipy_modules_after(command, path):
+# Packages that only the tests use: scipy as a numerical oracle, jsonschema
+# (with referencing) as the oracle of the CLI's schema validator.
+TEST_ONLY = ("scipy", "jsonschema", "referencing")
+
+
+def oracle_modules_after(command, path):
     """Child process that runs `levyheat command path` in process, then
-    prints the sorted scipy modules it loaded."""
+    prints the sorted TEST_ONLY modules it loaded."""
     code = ("import sys; from levyheat import cli; "
             f"assert cli.main([{command!r}, {str(path)!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {TEST_ONLY!r}))")
     return subprocess.run([sys.executable, "-c", code], env=cli_env(),
                           capture_output=True, text=True)
 
@@ -184,6 +189,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_experiment_config(path)
 
+    def test_stable_kernel_without_alpha_names_both(self, tmp_path):
+        path, _ = small_config(tmp_path, kernel={"kind": "stable"})
+        res = run_cli("run", str(path))
+        assert res.returncode == 64
+        assert "$.kernel" in res.stderr and "alpha" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+
     def test_uneven_grid_rejected(self, tmp_path):
         path, doc = small_config(tmp_path)
         doc["grid"]["dx"] = 0.3
@@ -223,21 +235,20 @@ class TestRunCommand:
         assert "time" not in json.dumps(manifest).lower()
 
     def test_run_without_claims_leaves_scipy_unloaded(self, tmp_path):
-        # scipy is a test dependency only, so the manifest does not name it
+        # scipy and jsonschema are test dependencies only, so the manifest
+        # names neither, and validation loads neither jsonschema nor
+        # referencing
         path, doc = small_config(tmp_path, claims=[])
-        res = scipy_modules_after("run", path)
+        res = oracle_modules_after("run", path)
         assert res.stdout.strip() == "[]", res.stderr
         manifest = json.loads(
             (Path(doc["output_dir"]) / "manifest.json").read_text())
-        assert "scipy" not in manifest["libraries"]
-        # the manifest writer imports importlib.metadata for this itself
-        assert manifest["libraries"]["jsonschema"] == \
-            importlib.metadata.version("jsonschema")
+        assert sorted(manifest["libraries"]) == ["numpy", "python"]
 
     def test_run_with_claims_leaves_scipy_unloaded(self, tmp_path):
         # noise sampling and the claim checks run on numpy alone
         path, _ = small_config(tmp_path)
-        res = scipy_modules_after("run", path)
+        res = oracle_modules_after("run", path)
         assert res.stdout.splitlines()[-1:] == ["[]"], res.stderr
 
     def test_rerun_is_bit_identical(self, tmp_path):
@@ -376,6 +387,11 @@ class TestVerifyCommand:
         assert run_cli("verify", str(path)).returncode == 0
         assert not Path(doc["output_dir"]).exists()
 
+    def test_verify_leaves_test_only_packages_unloaded(self, tmp_path):
+        path, _ = small_config(tmp_path)
+        res = oracle_modules_after("verify", path)
+        assert res.stdout.splitlines()[-1:] == ["[]"], res.stderr
+
 
 class TestReportCommand:
     def test_long_format_matches_moments(self, tmp_path):
@@ -422,7 +438,7 @@ class TestSimulateCommand:
     def test_simulate_leaves_scipy_unloaded(self, tmp_path):
         path, _ = self.sim_config(tmp_path,
                                   sigma={"kind": "linear", "lam": 1.0})
-        res = scipy_modules_after("simulate", path)
+        res = oracle_modules_after("simulate", path)
         assert res.stdout.splitlines()[-1:] == ["[]"], res.stderr
 
     def test_noiseless_snapshots_equal_heat_kernel(self, tmp_path):
@@ -527,6 +543,15 @@ class TestSimulateCommand:
         del doc["outputs"]
         path.write_text(json.dumps(doc))
         assert run_cli("simulate", str(path)).returncode == 64
+
+    def test_empty_snapshot_list_names_its_path(self, tmp_path):
+        path, doc = self.sim_config(tmp_path)
+        doc["outputs"]["snapshot_times"] = []
+        path.write_text(json.dumps(doc))
+        res = run_cli("simulate", str(path))
+        assert res.returncode == 64
+        assert "$.outputs.snapshot_times" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
 
 
 class TestMeanIdentityClaim:

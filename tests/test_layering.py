@@ -58,8 +58,8 @@ def package_env():
 
 
 def test_import_leaves_scipy_signal_out():
-    # scipy (scipy.signal above all) and the schema validator cost more
-    # import time than numpy; the package loads them where they are used
+    # scipy and jsonschema (with referencing) are test-only oracles, which
+    # cost more import time than numpy; no command loads them
     code = ("import sys, levyheat; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing')))")
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
@@ -69,13 +69,13 @@ def test_import_leaves_scipy_signal_out():
 
 # Loaded by `import levyheat`: every layer module, which a tracer may look
 # up in sys.modules right after the import.  Not loaded, before or after a
-# continuum oracle call on delta data: the manifest writer's
-# importlib.metadata (which brings email) and hashlib, numpy.ma (which
-# np.unique imports) and the thread pool of a multi-chunk ensemble.
+# continuum oracle call on delta data: importlib.metadata (which brings
+# email), the config validator, the manifest writer's hashlib, numpy.ma
+# (which np.unique imports) and the thread pool of a multi-chunk ensemble.
 LAYERS = ("cli", "analysis", "solver", "conv_calculus", "levy_kernel",
           "measure_init", "noise_field")
-DEFERRED = ("importlib.metadata", "email", "hashlib", "numpy.ma",
-            "concurrent.futures")
+DEFERRED = ("importlib.metadata", "email", "levyheat.schema", "hashlib",
+            "numpy.ma", "concurrent.futures")
 
 
 def test_start_up_module_set():

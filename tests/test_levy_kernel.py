@@ -36,8 +36,9 @@ from levyheat import (
     theta_estimate,
     upsilon_eval,
 )
-from levyheat.levy_kernel import (_dct1, _fast_len, bandlimited_rows,
-                                  exterior_mass, interval_mass)
+from levyheat.levy_kernel import (_dct1, _fast_len, _gauss_rule, _xi_rule,
+                                  bandlimited_rows, exterior_mass,
+                                  interval_mass)
 
 P_1_0 = 0.3989422804014327      # (2 pi)^{-1/2}
 P_1_1 = 0.24197072451914337     # (2 pi)^{-1/2} exp(-1/2)
@@ -287,6 +288,51 @@ def test_node_budget_enforced():
     spec = QuadratureSpec(nodes=500, tol=1e-10)
     with pytest.raises(QuadratureUnderresolved):
         p_eval_many(brownian(), 1e-4, np.linspace(-50, 50, 11), spec)
+
+
+def xi_rule_by_panel(cutoff, osc_scale, spec, n_geo=28):
+    """The xi rule built one geometric panel at a time with np.linspace."""
+    edges = [0.0] + [cutoff * 2.0 ** (-j) for j in range(n_geo, -1, -1)]
+    z, w = _gauss_rule(48)
+    nodes, weights, total = [], [], 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(1, int(math.ceil(osc_scale * (b - a) / 32.0)))
+        total += m * z.size
+        if total > spec.nodes:
+            raise QuadratureUnderresolved("over budget")
+        sub = np.linspace(a, b, m + 1)
+        half = 0.5 * (sub[1:] - sub[:-1])
+        nodes.append((half[:, None] * (z + 1.0) + sub[:-1, None]).ravel())
+        weights.append((half[:, None] * w).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_xi_rule_matches_per_panel_linspace_bit_for_bit():
+    rng = np.random.default_rng(7)
+    spec = QuadratureSpec()
+    cases = [(1.0, 0.0, 28), (37.5, 12.0, 28), (4e3, 60.0, 40)]
+    cases += [(10.0 ** rng.uniform(-1, 4), rng.choice([0.0, 1.0])
+               * 10.0 ** rng.uniform(-2, 3), int(rng.integers(20, 45)))
+              for _ in range(60)]
+    for cutoff, osc, n_geo in cases:
+        try:
+            want = xi_rule_by_panel(cutoff, osc, spec, n_geo)
+        except QuadratureUnderresolved:
+            with pytest.raises(QuadratureUnderresolved, match="budget"):
+                _xi_rule(cutoff, osc, spec, n_geo)
+            continue
+        nodes, weights = _xi_rule(cutoff, osc, spec, n_geo)
+        assert np.array_equal(nodes, want[0])
+        assert np.array_equal(weights, want[1])
+
+
+def test_xi_rule_budget_is_the_total_node_count():
+    n = xi_rule_by_panel(100.0, 50.0, QuadratureSpec())[0].size
+    assert _xi_rule(100.0, 50.0, QuadratureSpec(nodes=n))[0].size == n
+    with pytest.raises(QuadratureUnderresolved, match=f"budget of {n - 1} "):
+        _xi_rule(100.0, 50.0, QuadratureSpec(nodes=n - 1))
+    with pytest.raises(QuadratureUnderresolved, match="budget"):
+        _xi_rule(1e6, 1e6, QuadratureSpec())
 
 
 def test_model_validation():
