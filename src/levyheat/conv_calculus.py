@@ -6,21 +6,14 @@ so the s-integral is evaluated after the substitution s = t sin^2(theta),
 which absorbs square-root singularities at both endpoints exactly; an extra
 power grading of theta handles the stronger stable-law singularities.
 
-Rows narrower than the lattice spacing (the kernel squared at tiny times)
-cannot be sampled pointwise; below the resolvable time they are replaced by
-mass-correct lattice spikes, which is exact in the convolution limit.
-``smoothed_squared_grid`` tabulates ((p_t * u0)(x))^2 this way; the table
-of the squared kernel p_t(x)^2 is its u0 = delta() case.
-
-``st_convolve`` is the one theta-rule loop over table rows.  Each table row
-is transformed once (rfft, zero-padded to the linear-convolution length);
-linear interpolation in t commutes with the transform, so the theta nodes
-are summed in Fourier space and each output row costs one irfft.
-
-``volterra_hat`` marches the renewal equation of the second moment after a
-Fourier transform in x, where it is one scalar Volterra equation per
-frequency: h_t = lam^2 int_0^t K_{t-s} (D_s + h_s) ds, with K the
-transform of p^2 and D that of the squared smoothed data.
+Convolutions with p^2 are computed after a Fourier transform in x, where
+each is one time convolution per frequency xi with K, the transform of
+p^2.  ``volterra_hat`` marches the renewal equation of the second moment
+this way, h_t = lam^2 int_0^t K_{t-s} (D_s + h_s) ds with D the transform
+of the squared smoothed data; the Lemma *2 levels are the same time
+convolution without feedback, L_n = int_0^t K_{t-s} L_{n-1}(s) ds from
+L_0 = D.  Both take their xi rule and D from ``_spectral_rule`` and are
+inverted at the output points by ``_add_inverse``.
 """
 
 from __future__ import annotations
@@ -29,23 +22,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import irfft, rfft
+from numpy.fft import irfft
 
-from .errors import GridMismatch
 from .levy_kernel import (
     DEFAULT_SPEC,
     KernelModel,
-    QuadratureSpec,
+    _cutoff_for,
     _fast_len,
-    _fourier_rows,
     _gauss_rule,
+    _squared_kernel_hat,
     _unique,
+    _xi_rule,
     p0_eval,
     p0_integral,
+    psi_eval,
     theta_estimate,
 )
-from .measure_init import (FiniteMeasure, delta, heat_convolve_many,
-                           heat_convolve_rows)
+from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ def graded_times(t_max: float, n: int = 96, include=()) -> np.ndarray:
     return ts
 
 
-def _theta_rule(n_half: int = 48):
+def _theta_rule(n_half: int):
     """Nodes/weights for int_0^t H(s) ds under s = t sin^2(theta).
 
     Returns (s_frac, w) with int_0^t H ds = t * sum w_i H(t s_frac_i),
@@ -126,93 +119,7 @@ def _theta_rule(n_half: int = 48):
     return np.sin(theta) ** 2, weights * np.sin(2.0 * theta)
 
 
-def _window_nodes(model: KernelModel, u0: FiniteMeasure, t_values,
-                  x_values) -> np.ndarray:
-    """Uniform x nodes of a convolution table that serves the (t, x) probes.
-
-    The half-width adds to the farthest probe and the data radius a tail
-    buffer of 24 diffusion lengths, with a wide floor for heavy tails that
-    relaxes when the horizon itself is tiny.  The spacing keeps the
-    smallest probe time well above the resolvable time; otherwise output
-    rows degenerate to spikes.
-    """
-    alpha = model.alpha if model.kind == "stable" else 2.0
-    scale = (model.kappa * float(np.max(t_values))) ** (1.0 / alpha)
-    halfw = float(np.abs(x_values).max()) + u0.data_radius \
-        + max(min(10.0, 100.0 * scale), 24.0 * scale)
-    dx_cap = (model.kappa * float(np.min(t_values)) / 4.0) ** (1.0 / alpha) \
-        / 3.0
-    nx = 2 * max(512, math.ceil(halfw / dx_cap)) + 1
-    return np.linspace(-halfw, halfw, nx)
-
-
-def _resolvable_time(model: KernelModel, dx: float) -> float:
-    """Time below which the kernel is narrower than ~3 lattice cells."""
-    width = 3.0 * dx
-    if model.kind == "brownian":
-        return width ** 2 / model.kappa
-    if model.kind == "stable":
-        return width ** model.alpha / model.kappa
-    return width ** 2  # conservative default for tabulated exponents
-
-
-def smoothed_squared_grid(model: KernelModel, u0: FiniteMeasure, t_nodes,
-                          x_nodes,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> SpaceTimeGrid:
-    """Rows of ((p_t * u0)(x))^2; sub-lattice times become spikes.
-
-    Below the resolvable time the atom part concentrates: its square
-    integrates to sum_i m_i^2 p_{2t}(0) (cross terms and the density part
-    are bounded there and carry vanishing squared mass).  With u0 = delta()
-    these are the rows of p_t(x)^2, the kernel table of the lemma checks.
-    """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    dx = float(x_nodes[1] - x_nodes[0])
-    small = t_nodes < _resolvable_time(model, dx)
-    p2 = _fourier_rows(model, 2.0 * t_nodes[small], [0.0], spec)[:, 0]
-    rows = np.zeros((t_nodes.size, x_nodes.size))
-    rows[~small] = heat_convolve_rows(model, u0, t_nodes[~small], x_nodes,
-                                      spec) ** 2
-    if np.any(small) and u0.density_grid is not None:
-        dens = FiniteMeasure(density_grid=u0.density_grid,
-                             density_values=u0.density_values,
-                             support_radius=u0.support_radius)
-        rows[small] = heat_convolve_many(model, dens, _resolvable_time(
-            model, dx), x_nodes, spec) ** 2
-    for y, m in u0.atoms:
-        rows[small, np.argmin(np.abs(x_nodes - y))] += m * m * p2 / dx
-    return SpaceTimeGrid(t_nodes, x_nodes, rows)
-
-
-def st_convolve(f: SpaceTimeGrid, g: SpaceTimeGrid) -> SpaceTimeGrid:
-    """Discretized f (*) g on the grid of f and g.
-
-    Every row of f and g is transformed once; interpolation in t and the
-    theta-node sum happen on the spectra, and the "same"-size centre of one
-    irfft per row is the output row, clipped at 0.
-    """
-    if not (np.array_equal(f.t_nodes, g.t_nodes)
-            and np.array_equal(f.x_nodes, g.x_nodes)):
-        raise GridMismatch("st_convolve needs f and g on the same grid")
-    if np.any(f.values < 0) or np.any(g.values < 0):
-        raise ValueError("st_convolve is defined for nonnegative inputs")
-    s_frac, wts = _theta_rule()
-    ts = f.t_nodes
-    nx = f.x_nodes.size
-    n_fft = _fast_len(2 * nx - 1, real=True)
-    lo = (nx - 1) // 2
-    fhat = rfft(f.values, n_fft, axis=1)
-    ghat = rfft(g.values, n_fft, axis=1)
-    out = np.empty_like(f.values)
-    for i, t in enumerate(ts):
-        s = t * s_frac
-        acc = wts @ (_interp_rows(ts, fhat, t - s) * _interp_rows(ts, ghat, s))
-        out[i] = np.maximum(irfft(acc, n_fft)[lo:lo + nx] * (t * f.dx), 0.0)
-    return SpaceTimeGrid(ts, f.x_nodes, out)
-
-
-# Graded mesh size of the coarser of the two marches volterra_hat combines.
+# Graded mesh size of the coarser of the two marches that _richardson combines.
 VOLTERRA_N = 120
 
 
@@ -245,20 +152,118 @@ def _volterra_rows(khat, dhat, lam2: float, t_nodes) -> np.ndarray:
     return out
 
 
-def volterra_hat(khat, dhat, lam2: float, t_values) -> np.ndarray:
-    """h at t_values for h_t = lam2 int_0^t K_{t-s} (D_s + h_s) ds.
+def _level_rows(khat, dhat, n_levels: int, t_nodes) -> np.ndarray:
+    """L_1 .. L_n at every node of t_nodes, L_j = int_0^t K_{t-s} L_{j-1}(s)
+    ds from L_0 = D: the theta step of ``_volterra_rows`` without feedback,
+    each level read linearly between mesh nodes up to the node itself,
+    which the level below has just filled (one khat call per node)."""
+    s_frac, wts = _theta_rule(32)
+    out = None
+    for i, t in enumerate(t_nodes):
+        s = t * s_frac
+        k = khat(s)
+        kw = (t * wts)[:, None] * k[::-1]
+        src = dhat(s, k)
+        if out is None:
+            out = np.zeros((t_nodes.size, n_levels, k.shape[1]),
+                           dtype=np.result_type(k, src))
+        for j in range(n_levels):
+            out[i, j] = np.einsum("ij,ij->j", kw, src)
+            src = _interp_rows(t_nodes, out[:, j], s, i + 1)
+    return out
 
-    Marched by ``_volterra_rows`` on the graded meshes of VOLTERRA_N and
-    2 VOLTERRA_N nodes (each holding t_values), whose O(n^-2) errors the
-    Richardson step (4 h_2n - h_n) / 3 cancels.
-    """
-    t_values = np.asarray(t_values, dtype=float)
+
+def _richardson(march, t_values) -> np.ndarray:
+    """march(mesh), its rows over a graded mesh, at t_values: the step
+    (4 r_2n - r_n) / 3 over the meshes of n = VOLTERRA_N and 2n nodes, each
+    holding t_values, cancels the O(n^-2) march error."""
     runs = []
     for n in (VOLTERRA_N, 2 * VOLTERRA_N):
         tbl = graded_times(float(t_values[-1]), n, include=t_values)
-        rows = _volterra_rows(khat, dhat, lam2, tbl)
-        runs.append(rows[np.searchsorted(tbl, t_values)])
+        runs.append(march(tbl)[np.searchsorted(tbl, t_values)])
     return (4.0 * runs[1] - runs[0]) / 3.0
+
+
+def volterra_hat(khat, dhat, lam2: float, t_values) -> np.ndarray:
+    """h at t_values for h_t = lam2 int_0^t K_{t-s} (D_s + h_s) ds,
+    marched by ``_volterra_rows`` under ``_richardson``."""
+    return _richardson(lambda tbl: _volterra_rows(khat, dhat, lam2, tbl),
+                       np.asarray(t_values, dtype=float))
+
+
+# Tail bound of the squared-kernel transform at a spectral march's xi cutoff.
+ORACLE_XI_TOL = 1e-13
+
+
+def _square_remainder_hat(model, u0, khat, amp, xi, ts) -> np.ndarray:
+    """Rows over ts of the transform of (p_t*u0)^2 - sum_j m_j^2 p_t(.-y_j)^2.
+
+    What is left of the squared data after the atoms' own squares is
+    bounded as t -> 0: cross terms of atoms and the density.  p_t*u0 is
+    sampled by one FFT per time on a periodic grid that resolves p_{ts[0]}
+    and holds the data radius plus 24 diffusion lengths of the largest
+    time on either side (at least 10, for heavy tails), squared, and summed
+    against e^{i xi x}; amp * khat is the atoms' part it then drops.
+    """
+    alpha = model.alpha if model.kind == "stable" else 2.0
+    scale = (model.kappa * ts[-1]) ** (1.0 / alpha)
+    half = u0.data_radius + max(24.0 * scale, min(10.0, 100.0 * scale))
+    eta_max = _cutoff_for(model, ts[0], DEFAULT_SPEC.tol)
+    n = _fast_len(math.ceil(4.0 * half * eta_max / math.pi), real=True)
+    eta = (math.pi / half) * np.arange(n // 2 + 1)
+    phat = np.exp(-np.multiply.outer(ts, psi_eval(model, eta))) \
+        * np.conj(fourier_u0(u0, eta))
+    rows = irfft(phat, n, axis=1) * (0.5 * n / half)
+    x = (2.0 * half / n) * ((np.arange(n) + n // 2) % n - n // 2)
+    sq = rows * rows * (2.0 * half / n)
+    arg = np.multiply.outer(x, xi)
+    return sq @ np.cos(arg) + 1j * (sq @ np.sin(arg)) - amp * khat(ts, xi)
+
+
+def _spectral_rule(model, u0, t_values, x_out):
+    """(xi, w, khat, dhat) of a march over increasing t_values inverted at
+    x_out: khat(s) gives the rows of K, the transform of p_s^2, over xi,
+    and dhat(s, k) those of D, the transform of (p_s*u0)^2.
+
+    The xi rule reaches where e^{-2 t psi(xi/2)}, which bounds every
+    |f^_t(xi)| / f^_t(0), falls below ORACLE_XI_TOL at the smallest time;
+    its panels follow the oscillation of the largest |x - y| and are
+    graded toward 0 far enough for the largest time.  D of an atom of mass
+    m at y is m^2 e^{i xi y} K; the bounded remainder of several atoms or
+    a density is tabulated on the finer march mesh from t_min / 100 on,
+    linear in t between its nodes and held at its first node below them.
+    A tabulated exponent has no K and raises ValueError.
+    """
+    khat = _squared_kernel_hat(model)
+    t_min, t_max = float(t_values[0]), float(t_values[-1])
+    cutoff = 2.0 * _cutoff_for(model, 2.0 * t_min, ORACLE_XI_TOL)
+    grade = math.log2(cutoff / (2.0 * _cutoff_for(model, 2.0 * t_max,
+                                                  ORACLE_XI_TOL)))
+    xi, w = _xi_rule(cutoff, float(np.abs(x_out).max()) + u0.data_radius,
+                     DEFAULT_SPEC, n_geo=math.ceil(grade) + 2)
+    amp = np.real_if_close(sum((m * m * np.exp(1j * xi * y)
+                                for y, m in u0.atoms), np.zeros(xi.size)))
+    if len(u0.atoms) == 1 and u0.density_grid is None:
+        def dhat(s, k):
+            return amp * k
+    else:
+        ts = graded_times(t_max, 2 * VOLTERRA_N, include=t_values)
+        ts = ts[ts >= 0.01 * t_min]
+        rem = _square_remainder_hat(model, u0, khat, amp, xi, ts)
+
+        def dhat(s, k):
+            return amp * k + _interp_rows(ts, rem, s)
+    return xi, w, (lambda s: khat(s, xi)), dhat
+
+
+def _add_inverse(out, fhat, xi, w, x_out) -> np.ndarray:
+    """out plus (1/pi) int_0^cutoff Re[f^(xi) e^{-i xi x}] dxi at x_out,
+    the inverse transform of the even-in-xi f^ on the rule (xi, w)."""
+    arg = np.multiply.outer(xi, x_out)
+    out += (fhat.real * (w / math.pi)) @ np.cos(arg)
+    if np.iscomplexobj(fhat):
+        out += (fhat.imag * (w / math.pi)) @ np.sin(arg)
+    return out
 
 
 def time_convolve_at_origin(model: KernelModel, t: float) -> float:
@@ -287,31 +292,30 @@ def check_lemma_star2_grid(model: KernelModel, u0: FiniteMeasure, n_levels: int,
 
     Level n holds the n-fold (p^2 (*) ... (*) p^2 (*) (p_. * u0)^2)_t(x)
     and the bound u0(R) (2 theta int_0^t p_s(0) ds)^n p_t(0) (p_t*u0)(x).
-    One shared graded table serves every requested (t, x) pair, so the
-    cost is n_levels convolution passes regardless of how many pairs.
+    In x-frequency each level is one more time convolution with K, the
+    transform of p^2, marched by ``_level_rows`` on the continuum oracle's
+    xi rule and meshes (``_spectral_rule``, ``_richardson``), so all
+    levels and (t, x) pairs share one march.  t_values must be positive
+    and strictly increasing, and the kernel brownian or stable: a
+    tabulated exponent raises ValueError, as the oracle does.
     """
     if not 1 <= n_levels <= 4:
         raise ValueError("nested convolutions are supported for n in 1..4")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
+    if t_values.ndim != 1 or not t_values.size or not t_values[0] > 0 \
+            or not np.all(np.diff(t_values) > 0):
+        raise ValueError("t_values must be positive and strictly increasing")
+    xi, w, khat, dhat = _spectral_rule(model, u0, t_values, x_values)
+    lhat = _richardson(lambda tbl: _level_rows(khat, dhat, n_levels, tbl),
+                       t_values)
+    lhs = _add_inverse(np.zeros(lhat.shape[:2] + x_values.shape), lhat, xi,
+                       w, x_values).transpose(1, 0, 2)
     th = theta_estimate(model)
-    x_nodes = _window_nodes(model, u0, t_values, x_values)
-    t_table = graded_times(float(t_values.max()), include=t_values)
-    seed = smoothed_squared_grid(model, u0, t_table, x_nodes)
-    kern = smoothed_squared_grid(model, delta(), t_table, x_nodes)
-    idx = np.searchsorted(t_table, t_values)
-    lhs = np.empty((n_levels, t_values.size, x_values.size))
-    rhs = np.empty_like(lhs)
-    smooth = heat_convolve_rows(model, u0, t_values, x_values)
-    p0s = np.array([p0_eval(model, t) for t in t_values])
-    ints = np.array([p0_integral(model, t) for t in t_values])
-    cur = seed
-    for lev in range(n_levels):
-        cur = st_convolve(kern, cur)
-        for i, ti in enumerate(idx):
-            lhs[lev, i] = np.interp(x_values, x_nodes, cur.values[ti])
-            rhs[lev, i] = u0.total_mass * (2.0 * th * ints[i]) ** (lev + 1) \
-                * p0s[i] * smooth[i]
+    growth = np.array([2.0 * th * p0_integral(model, t) for t in t_values])
+    scale = u0.total_mass * np.array([p0_eval(model, t) for t in t_values])
+    rhs = (growth ** np.arange(1, n_levels + 1)[:, None] * scale)[..., None] \
+        * heat_convolve_rows(model, u0, t_values, x_values)
     return lhs, rhs
 
 

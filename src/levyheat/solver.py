@@ -50,12 +50,12 @@ from typing import Callable
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .conv_calculus import (VOLTERRA_N, SpaceTimeGrid, _interp_rows,
-                            graded_times, volterra_hat)
+from .conv_calculus import (SpaceTimeGrid, _add_inverse, _spectral_rule,
+                            volterra_hat)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
 from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
-                          QuadratureSpec, _cutoff_for, _fast_len,
+                          QuadratureSpec, _fast_len,
                           _fourier_rows, _squared_kernel_hat, _upsilon_tail,
                           _xi_rule, bandlimited_rows, exterior_mass, frak_T,
                           gamma_k, p0_eval, psi_eval, upsilon_eval)
@@ -673,81 +673,19 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes) -> np.ndarray:
     return _lag_march(det ** 2, srows ** 2, lambda i, row: scale * row)
 
 
-# Tail bound of the squared-kernel transform at the oracle's xi cutoff.
-ORACLE_XI_TOL = 1e-13
-
-
-def _square_remainder_hat(model, u0, khat, amp, xi, ts) -> np.ndarray:
-    """Rows over ts of the transform of (p_t*u0)^2 - sum_j m_j^2 p_t(.-y_j)^2.
-
-    What is left of the squared data after the atoms' own squares is
-    bounded as t -> 0: cross terms of atoms and the density.  p_t*u0 is
-    sampled by one FFT per time on a periodic grid that resolves p_{ts[0]}
-    and holds the data radius plus 24 diffusion lengths of the largest
-    time on either side (at least 10, for heavy tails), squared, and summed
-    against e^{i xi x}; amp * khat is the atoms' part it then drops.
-    """
-    alpha = model.alpha if model.kind == "stable" else 2.0
-    scale = (model.kappa * ts[-1]) ** (1.0 / alpha)
-    half = u0.data_radius + max(24.0 * scale, min(10.0, 100.0 * scale))
-    eta_max = _cutoff_for(model, ts[0], DEFAULT_SPEC.tol)
-    n = _fast_len(math.ceil(4.0 * half * eta_max / math.pi), real=True)
-    eta = (math.pi / half) * np.arange(n // 2 + 1)
-    phat = np.exp(-np.multiply.outer(ts, psi_eval(model, eta))) \
-        * np.conj(fourier_u0(u0, eta))
-    rows = irfft(phat, n, axis=1) * (0.5 * n / half)
-    x = (2.0 * half / n) * ((np.arange(n) + n // 2) % n - n // 2)
-    sq = rows * rows * (2.0 * half / n)
-    arg = np.multiply.outer(x, xi)
-    return sq @ np.cos(arg) + 1j * (sq @ np.sin(arg)) - amp * khat(ts, xi)
-
-
 def _oracle_continuum(model, u0, lam, t_targets, x_out) -> np.ndarray:
     """Spectral march for f = det^2 + lam^2 (p^2 (*) f).
 
     In x-frequency xi the equation is one scalar Volterra equation per xi,
     f^_t = D^_t + lam^2 int_0^t K^_{t-s} f^_s ds, with K^ the transform of
     p_t^2 and D^ that of det^2 = (p_t*u0)^2.  volterra_hat marches
-    h^ = f^ - D^ on a fixed xi rule, and the output is the exact det^2
-    plus the cosine/sine inversion of h^ at x_out.
-
-    The xi rule reaches where e^{-2 t psi(xi/2)}, which bounds every
-    |f^_t(xi)| / f^_t(0), falls below ORACLE_XI_TOL at the smallest time;
-    its panels follow the oscillation of the largest |x - y| and are
-    graded toward 0 far enough for the largest time.  D^ of an atom of
-    mass m at y is m^2 e^{i xi y} K^; the bounded remainder of several
-    atoms or a density is tabulated on the finer march mesh from
-    t_min / 100 on, linear in t between its nodes and held at its first
-    node below them.
+    h^ = f^ - D^ on the xi rule of ``_spectral_rule``, and the output is
+    the exact det^2 plus the cosine/sine inversion of h^ at x_out.
     """
-    t_targets = np.asarray(t_targets, dtype=float)
-    x_out = np.asarray(x_out, dtype=float)
-    khat = _squared_kernel_hat(model)
-    t_min, t_max = float(t_targets[0]), float(t_targets[-1])
-    cutoff = 2.0 * _cutoff_for(model, 2.0 * t_min, ORACLE_XI_TOL)
-    grade = math.log2(cutoff / (2.0 * _cutoff_for(model, 2.0 * t_max,
-                                                  ORACLE_XI_TOL)))
-    xi, w = _xi_rule(cutoff, float(np.abs(x_out).max()) + u0.data_radius,
-                     DEFAULT_SPEC, n_geo=math.ceil(grade) + 2)
-    amp = np.real_if_close(sum((m * m * np.exp(1j * xi * y)
-                                for y, m in u0.atoms), np.zeros(xi.size)))
-    if len(u0.atoms) == 1 and u0.density_grid is None:
-        def dhat(s, k):
-            return amp * k
-    else:
-        ts = graded_times(t_max, 2 * VOLTERRA_N, include=t_targets)
-        ts = ts[ts >= 0.01 * t_min]
-        rem = _square_remainder_hat(model, u0, khat, amp, xi, ts)
-
-        def dhat(s, k):
-            return amp * k + _interp_rows(ts, rem, s)
-    hhat = volterra_hat(lambda s: khat(s, xi), dhat, lam * lam, t_targets)
-    arg = np.multiply.outer(xi, x_out)
-    out = heat_convolve_rows(model, u0, t_targets, x_out) ** 2
-    out += (hhat.real * (w / math.pi)) @ np.cos(arg)
-    if np.iscomplexobj(hhat):
-        out += (hhat.imag * (w / math.pi)) @ np.sin(arg)
-    return out
+    xi, w, khat, dhat = _spectral_rule(model, u0, t_targets, x_out)
+    hhat = volterra_hat(khat, dhat, lam * lam, t_targets)
+    return _add_inverse(heat_convolve_rows(model, u0, t_targets, x_out) ** 2,
+                        hhat, xi, w, x_out)
 
 
 def pam_second_moment_oracle(model: KernelModel, u0: FiniteMeasure,

@@ -6,26 +6,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from levyheat import (
-    GridMismatch,
     QuadratureSpec,
     brownian,
     delta,
+    heat_convolve_rows,
     p_eval,
-    p_eval_many,
+    pam_second_moment_oracle,
     stable,
+    tabulated,
     theta_estimate,
 )
 from levyheat import levy_kernel
 from levyheat.conv_calculus import (
     SpaceTimeGrid,
-    _resolvable_time,
-    _theta_rule,
+    _add_inverse,
+    _level_rows,
+    _spectral_rule,
     check_lemma_pp,
     check_lemma_star2,
     check_lemma_star2_grid,
     graded_times,
-    smoothed_squared_grid,
-    st_convolve,
     time_convolve_at_origin,
 )
 from levyheat.measure_init import FiniteMeasure, fourier_u0
@@ -35,9 +35,9 @@ BM = brownian(1.0)
 # Brownian closed forms (kappa = 1):
 #   int_0^t p_{t-s}(0) p_s(0) ds = 1/2 for every t;
 #   the diagonal triple is (1/pi, 1/2, 2 sqrt(2)/pi), t-independent;
-#   (p (*) p)_t(x)       = t p_t(x);
-#   (p^2 (*) p^2)_t(x)   = p_{t/2}(x)/4;
-#   three squared factors: sqrt(t/pi) p_{t/2}(x)/4.
+#   p_t(x)^2 = p_{t/2}(x) / (2 sqrt(pi t)), so the Lemma *2 level n from
+#   delta data, n squared kernels on (p_t)^2, is c_n t^{(n-1)/2} p_{t/2}(x)
+#   with c_1 = 1/4 and c_n = c_{n-1} B(n/2, 1/2) / (2 sqrt(pi)).
 TRIPLE = (1.0 / math.pi, 0.5, 2.0 * math.sqrt(2.0) / math.pi)
 
 
@@ -150,86 +150,6 @@ class TestDiagonalConvolution:
             assert 1.0 <= mid / lo <= 2.0 * th + 1e-9
 
 
-def direct_st_convolve(f, g):
-    """Reference: the theta-rule sum in x space, one np.convolve per node."""
-    s_frac, wts = _theta_rule()
-    nx = f.x_nodes.size
-    lo = (nx - 1) // 2
-    out = np.zeros_like(f.values)
-    for i, t in enumerate(f.t_nodes):
-        acc = np.zeros(nx)
-        for sf, w in zip(s_frac, wts):
-            acc += w * np.convolve(f.row_at(t - t * sf),
-                                   g.row_at(t * sf))[lo:lo + nx]
-        out[i] = np.maximum(acc * (t * f.dx), 0.0)
-    return out
-
-
-class TestStConvolve:
-    @pytest.mark.parametrize("nx", [65, 64])
-    def test_matches_direct_theta_sum(self, nx):
-        f, g = small_grid(31, nx=nx), small_grid(32, nx=nx)
-        got = st_convolve(f, g).values
-        ref = direct_st_convolve(f, g)
-        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
-
-    def test_zero_inputs(self):
-        g = small_grid(5)
-        zero = SpaceTimeGrid(g.t_nodes, g.x_nodes, np.zeros_like(g.values))
-        out = st_convolve(zero, zero)
-        assert np.all(out.values == 0.0)
-
-    def test_grid_mismatch(self):
-        f = small_grid(1)
-        g = small_grid(2, nx=33)
-        with pytest.raises(GridMismatch):
-            st_convolve(f, g)
-
-    def test_negative_rejected(self):
-        g = small_grid(6)
-        bad = SpaceTimeGrid(g.t_nodes, g.x_nodes, g.values - 10.0)
-        with pytest.raises(ValueError):
-            st_convolve(g, bad)
-
-    def test_semigroup_identity(self):
-        # (p (*) p)_t(x) = t p_t(x) by Chapman-Kolmogorov
-        x_nodes = np.linspace(-6.0, 6.0, 601)
-        t_table = graded_times(0.2, n=64, include=[0.08, 0.2])
-        # p rows, with a unit-mass spike at times below the resolvable one
-        dx = x_nodes[1] - x_nodes[0]
-        small = t_table < _resolvable_time(BM, dx)
-        rows = np.zeros((t_table.size, x_nodes.size))
-        for i in np.flatnonzero(~small):
-            rows[i] = np.maximum(p_eval_many(BM, t_table[i], x_nodes), 0.0)
-        rows[small, np.argmin(np.abs(x_nodes))] = 1.0 / dx
-        pg = SpaceTimeGrid(t_table, x_nodes, rows)
-        out = st_convolve(pg, pg)
-        for t in (0.08, 0.2):
-            i = int(np.searchsorted(t_table, t))
-            for x in (0.0, 0.5, 1.0):
-                j = int(np.argmin(np.abs(x_nodes - x)))
-                assert_allclose(out.values[i, j], t * p_eval(BM, t, x),
-                                rtol=2e-2)
-
-    def test_bilinear(self):
-        f, g, h = small_grid(11), small_grid(12), small_grid(13)
-        fg = st_convolve(f, g)
-        fh = st_convolve(f, h)
-        gh_sum = SpaceTimeGrid(f.t_nodes, f.x_nodes, g.values + h.values)
-        combined = st_convolve(f, gh_sum)
-        assert_allclose(combined.values, fg.values + fh.values, rtol=1e-12)
-        scaled = st_convolve(SpaceTimeGrid(f.t_nodes, f.x_nodes,
-                                           3.0 * f.values), g)
-        assert_allclose(scaled.values, 3.0 * fg.values, rtol=1e-12)
-
-    def test_monotone(self):
-        f, g, extra = small_grid(21), small_grid(22), small_grid(23)
-        bigger = SpaceTimeGrid(f.t_nodes, f.x_nodes, f.values + extra.values)
-        low = st_convolve(f, g)
-        high = st_convolve(bigger, g)
-        assert np.all(high.values >= low.values - 1e-15)
-
-
 def off_centre_measure():
     """Atoms off the origin plus a density: a complex u0_hat."""
     grid = np.linspace(-2.0, 2.0, 401)
@@ -258,38 +178,21 @@ class TestBatchedRows:
     spec = QuadratureSpec(tol=1e-13)
     x = np.linspace(-4.0, 4.0, 257)
 
+    @staticmethod
+    def times(n):
+        # graded over a 30-fold span; a per-time rule for stable(1.5) far
+        # below t = 0.01 would exceed the node budget on this window
+        ts = graded_times(0.3, n=n)
+        return ts[ts >= 0.01]
+
     @pytest.mark.parametrize("model", [BM, stable(1.5)],
                              ids=["brownian", "stable"])
     def test_rows_match_one_rule_per_time(self, model):
-        ts = graded_times(0.3, n=40)
-        x, dx = self.x, self.x[1] - self.x[0]
-        u_r = _resolvable_time(model, dx)
-        small = ts < u_r
-        assert small.any() and not small.all()
-        j0 = int(np.argmin(np.abs(x)))
-        p2 = per_time_rows(model, delta(), 2.0 * ts[small], [0.0], self.spec)
-        ref = np.zeros((ts.size, x.size))
-        ref[~small] = per_time_rows(model, delta(), ts[~small], x, self.spec)
-        want = {"squared": ref ** 2}
-        want["squared"][small, j0] = p2[:, 0] / dx
-        u0 = off_centre_measure()
-        want["smoothed"] = np.zeros_like(ref)
-        want["smoothed"][~small] = per_time_rows(
-            model, u0, ts[~small], x, self.spec) ** 2
-        dens = FiniteMeasure(density_grid=u0.density_grid,
-                             density_values=u0.density_values,
-                             support_radius=u0.support_radius)
-        want["smoothed"][small] = per_time_rows(
-            model, dens, [u_r], x, self.spec) ** 2
-        for y, m in u0.atoms:
-            want["smoothed"][small, np.argmin(np.abs(x - y))] += \
-                m * m * p2[:, 0] / dx
-        got = {"squared": smoothed_squared_grid(model, delta(), ts, x,
-                                                self.spec),
-               "smoothed": smoothed_squared_grid(model, u0, ts, x, self.spec)}
-        for name, grid in got.items():
-            err = np.abs(grid.values - want[name]).max(axis=1)
-            assert np.all(err <= 1e-12 * np.abs(want[name]).max(axis=1)), name
+        ts, u0 = self.times(24), off_centre_measure()
+        want = per_time_rows(model, u0, ts, self.x, self.spec)
+        got = heat_convolve_rows(model, u0, ts, self.x, self.spec)
+        err = np.abs(got - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
 
     def test_rule_count_does_not_grow_with_rows(self, monkeypatch):
         builds = []
@@ -305,19 +208,44 @@ class TestBatchedRows:
 
         def count(n):
             builds.clear()
-            ts = graded_times(0.3, n=n)
-            smoothed_squared_grid(BM, delta(), ts, self.x)
-            smoothed_squared_grid(BM, off_centre_measure(), ts, self.x)
+            ts = self.times(n)
+            heat_convolve_rows(BM, delta(), ts, self.x)
+            heat_convolve_rows(BM, off_centre_measure(), ts, self.x)
             return len(builds)
 
         assert count(20) == count(80)
 
 
+def level_closed_form(n, t, x):
+    """Brownian delta-data level n: c_n t^{(n-1)/2} p_{t/2}(x)."""
+    c = 0.25
+    for j in range(2, n + 1):
+        c *= math.gamma(j / 2) * math.gamma(0.5) / math.gamma(j / 2 + 0.5) \
+            / (2.0 * math.sqrt(math.pi))
+    return c * t ** ((n - 1) / 2) * p_eval(BM, t / 2, x)
+
+
 class TestLemmaStar2:
     def test_delta0_closed_form_and_bound(self):
-        lhs, rhs = check_lemma_star2(BM, delta(), 1, 0.1, 0.0)
-        assert_allclose(lhs, p_eval(BM, 0.05, 0.0) / 4, rtol=2e-2)
-        assert lhs <= rhs
+        ts, xs = [0.1, 0.2, 0.3], [0.0, 0.5, 1.0, 1.5, 2.0]
+        lhs, rhs = check_lemma_star2_grid(BM, delta(), 4, ts, xs)
+        assert np.all(lhs <= rhs)
+        for n in range(1, 5):
+            want = np.array([[level_closed_form(n, t, x) for x in xs]
+                             for t in ts])
+            err = np.abs(lhs[n - 1] - want)
+            assert np.all(err <= 1e-5 * want[:, :1]), n
+
+    def test_stable_levels_match_the_oracle_at_small_lam(self):
+        # (E u^2 - (p_t*u0)^2) / lam^2 = L_1 + lam^2 L_2 + O(lam^4): the
+        # oracle's feedback march against the level march, no closed form
+        model, lam = stable(1.5), 0.01
+        ts, xs = [0.1, 0.3], [0.0, 0.75, 1.5]
+        oracle = pam_second_moment_oracle(model, delta(), lam, ts, xs).values
+        det2 = heat_convolve_rows(model, delta(), ts, xs) ** 2
+        lhs, _ = check_lemma_star2_grid(model, delta(), 2, ts, xs)
+        assert_allclose((oracle - det2) / lam ** 2, lhs[0] + lam ** 2 * lhs[1],
+                        rtol=1e-6)
 
     def test_ratio_shrinks_with_n(self):
         lhs, rhs = check_lemma_star2_grid(BM, delta(), 2, [0.1], [0.0])
@@ -326,30 +254,36 @@ class TestLemmaStar2:
         assert ratio[1] < ratio[0]
 
     def test_zero_seed(self):
-        # sigma == 0 analogue: a zero seed stays zero under convolution
-        x_nodes = np.linspace(-4.0, 4.0, 257)
-        t_table = graded_times(0.1, n=48)
-        kern = smoothed_squared_grid(BM, delta(), t_table, x_nodes)
-        zero = SpaceTimeGrid(t_table, x_nodes, np.zeros_like(kern.values))
-        out = st_convolve(kern, zero)
-        assert np.all(out.values == 0.0)
+        # sigma == 0 analogue: a zero seed stays zero under the level march
+        xi, _, khat, _ = _spectral_rule(BM, delta(), [0.1], [0.0])
+        out = _level_rows(khat, lambda s, k: np.zeros_like(k), 3,
+                          graded_times(0.1, n=48))
+        assert out.shape == (48, 3, xi.size) and np.all(out == 0.0)
 
     def test_delta0_seed_matches_kernel_squared(self):
-        x_nodes = np.linspace(-4.0, 4.0, 257)
-        t_table = graded_times(0.3, n=24)
-        seeded = smoothed_squared_grid(BM, delta(), t_table, x_nodes)
-        # p_t(x)^2 = e^{-x^2/t} / (2 pi t); below the resolvable time a
-        # spike of mass p_{2t}(0) = (4 pi t)^{-1/2} at the origin
-        t = t_table[:, None]
-        want = np.exp(-x_nodes ** 2 / t) / (2.0 * math.pi * t)
-        dx = x_nodes[1] - x_nodes[0]
-        small = t_table < _resolvable_time(BM, dx)
-        assert small.any() and not small.all()
-        want[small] = 0.0
-        want[small, np.argmin(np.abs(x_nodes))] = \
-            1.0 / (np.sqrt(4.0 * math.pi * t_table[small]) * dx)
-        err = np.abs(seeded.values - want).max(axis=1)
+        # the seed D of delta data, inverted on the march's xi rule, is
+        # p_t(x)^2 = e^{-x^2/t} / (2 pi t)
+        ts, x = graded_times(0.3, n=24), np.linspace(-4.0, 4.0, 257)
+        ts = ts[ts >= 0.01]
+        xi, w, khat, dhat = _spectral_rule(BM, delta(), ts, x)
+        seeded = _add_inverse(np.zeros((ts.size, x.size)),
+                              dhat(ts, khat(ts)), xi, w, x)
+        t = ts[:, None]
+        want = np.exp(-x ** 2 / t) / (2.0 * math.pi * t)
+        err = np.abs(seeded - want).max(axis=1)
         assert np.all(err <= 1e-10 * want.max(axis=1))
+
+    @pytest.mark.parametrize("t_values", [[0.2, 0.1], [0.1, 0.1], [0.0, 0.1],
+                                          [-0.1], [float("nan")], []])
+    def test_times_must_be_positive_and_increasing(self, t_values):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            check_lemma_star2_grid(BM, delta(), 1, t_values, [0.0])
+
+    def test_tabulated_kernel_rejected(self):
+        xi = np.linspace(0.0, 200.0, 2001)
+        with pytest.raises(ValueError, match="tabulated"):
+            check_lemma_star2(tabulated(xi, 0.5 * xi ** 2), delta(), 1, 0.1,
+                              0.0)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

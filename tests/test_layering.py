@@ -117,7 +117,6 @@ def test_all_lists_each_imported_name_once():
 # nodes=4_000_000) and assert agreement that the default cannot meet.
 SPEC_TAKERS = {
     "solver": {"check_truncation", "_det_rows", "build_lattice", "evolve"},
-    "conv_calculus": {"smoothed_squared_grid"},
 }
 
 
