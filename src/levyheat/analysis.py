@@ -2,9 +2,9 @@
 
 Pure post-processing: every operation here consumes immutable moment
 tables or realized field lattices (plus the kernel model for envelope
-evaluation) and returns plain values or a BoundVerdict.  Nothing in this
-module draws noise except the explicit ensemble helpers, which reuse the
-solver's marching kernel with fixed seed lists, so every verdict is
+evaluation) and returns plain values or a BoundVerdict.  The Monte Carlo
+routes of small_t_scan and nochaos_sup_scan draw noise only through the
+solver's mc_moments, with fixed seed lists, so every verdict is
 reproducible from the inputs alone.
 
 Statistical convention: one-sided tests at three standard errors.  A
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllocationLimit, InsufficientRange
+from .errors import InsufficientRange
 from .levy_kernel import KernelModel, _unique, gamma_k, p0_eval
 from .measure_init import FiniteMeasure, heat_convolve_many
-from .noise_field import MAX_CELLS
-from .solver import (MomentTable, SigmaSpec, build_lattice, check_truncation,
-                     growth_envelope, march_seeds, pam_second_moment_oracle,
-                     seed_ids, step_numbers, step_slots, x_centers)
+from .solver import (MomentTable, SigmaSpec, check_truncation,
+                     growth_envelope, mc_moments, pam_second_moment_oracle,
+                     x_centers)
 
 __all__ = [
     "BoundVerdict", "ModulusStat", "NOT_APPLICABLE",
@@ -103,35 +102,6 @@ def _alpha_of(model: KernelModel) -> float:
     if model.kind == "stable":
         return float(model.alpha)
     raise ValueError("scaling analysis needs a brownian or stable kernel")
-
-
-# ---------------------------------------------------------------------------
-# Ensemble helper: full field rows at probe times, one slab per seed.
-# ---------------------------------------------------------------------------
-
-def _ensemble_rows(model, u0, sigma, *, dt, nx, half_width, t_probes, seeds):
-    """March every seed and keep the whole lattice row at each probe time.
-
-    Returns (x_nodes, rows) with rows of shape (n_seeds, n_probes, nx) in
-    seed-list order.  The solver's march with an observer that keeps rows
-    instead of power sums, for sup-over-x statistics that need per-seed
-    fields.
-    """
-    seed_list = seed_ids(seeds)
-    t_idx = step_numbers(t_probes, dt, "t probe")
-    if len(seed_list) * len(t_idx) * nx > MAX_CELLS:
-        raise AllocationLimit("ensemble row buffer exceeds the budget")
-    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=np.arange(1, max(t_idx) + 1))
-    probe_at = step_slots(t_idx)
-    rows = np.empty((len(seed_list), len(t_idx), nx))
-
-    def keep(first, j, u, v):
-        for slot in probe_at.get(j, ()):
-            rows[first:first + u.shape[0], slot] = u[:, 0]
-
-    march_seeds(lat, sigma, seed_list, keep)
-    return lat.x_nodes, rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +261,10 @@ def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         if nx is None:
             dx_cap = 0.5 / p0_eval(model, dt)
             nx = int(math.ceil(2.0 * half_width / dx_cap))
-        x_nodes, rows = _ensemble_rows(
-            model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-            t_probes=ts[::-1], seeds=seeds)
+        rows = mc_moments(model, u0, sigma, dt=dt, nx=nx,
+                          half_width=half_width, t_end=t_max, seeds=seeds,
+                          t_probes=[], x_probes=[], ks=[],
+                          snapshot_times=ts[::-1]).snapshots
         pow_mean = np.mean(np.abs(rows) ** k, axis=0)  # (n_probes, nx)
         sup[:] = np.max(pow_mean, axis=1)[::-1] ** (1.0 / k)
 
@@ -346,7 +317,8 @@ def modulus_estimate(replicas, t: float, interval, eps: float) -> ModulusStat:
     """Mean over replicas of sup |u_t(x)-u_t(x')|^2 / |x-x'|^{1-eps}.
 
     The sup runs over all lattice pairs inside the window
-    interval = (a, b); replicas must share their grid.  eps trades the
+    interval = (a, b); replicas must share their grid, and t must be one
+    of its times (to 1e-9 relative).  eps trades the
     Hoelder exponent: eps near 1 scores plain squared increments, small
     eps penalizes roughness at short distances harder.
     """
@@ -363,6 +335,9 @@ def modulus_estimate(replicas, t: float, interval, eps: float) -> ModulusStat:
         if not (np.array_equal(r.grid.x_nodes, base.x_nodes)
                 and np.array_equal(r.grid.t_nodes, base.t_nodes)):
             raise ValueError("replicas must share one lattice")
+    hit = np.flatnonzero(np.abs(base.t_nodes - t) <= 1e-9 * abs(t))
+    if hit.size == 0:
+        raise ValueError(f"t={t:g} is not a time row of the replicas")
     mask = (base.x_nodes >= a) & (base.x_nodes <= b)
     m = int(np.count_nonzero(mask))
     if m < 2:
@@ -374,7 +349,7 @@ def modulus_estimate(replicas, t: float, interval, eps: float) -> ModulusStat:
 
     quot = np.empty(len(reps))
     for i, r in enumerate(reps):
-        vals = r.grid.row_at(t)[mask]
+        vals = r.grid.values[hit[0], mask]
         diff2 = (vals[:, None] - vals[None, :]) ** 2
         quot[i] = float(np.max(diff2[iu] / denom))
     n = len(reps)
@@ -421,9 +396,10 @@ def nochaos_sup_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         check_truncation(model, u0, t, half_width)
         rows = heat_convolve_many(model, u0, t, x_nodes)[None, None]
     else:
-        _, rows = _ensemble_rows(
-            model, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-            t_probes=[t], seeds=seeds)
+        rows = mc_moments(model, u0, sigma, dt=dt, nx=nx,
+                          half_width=half_width, t_end=t, seeds=seeds,
+                          t_probes=[], x_probes=[], ks=[],
+                          snapshot_times=[t]).snapshots
 
     out = np.empty(len(Ls))
     for li, L in enumerate(Ls):

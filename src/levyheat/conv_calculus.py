@@ -71,10 +71,6 @@ class SpaceTimeGrid:
     def dx(self) -> float:
         return float(self.x_nodes[1] - self.x_nodes[0])
 
-    def row_at(self, t: float) -> np.ndarray:
-        """Row at time t by linear interpolation, clamped at the ends."""
-        return _interp_rows(self.t_nodes, self.values, t)
-
 
 def _interp_rows(t_nodes: np.ndarray, rows: np.ndarray, s,
                 limit: int | None = None) -> np.ndarray:

@@ -21,10 +21,6 @@ class GridMismatch(LevyHeatError):
     """Two lattices that must share geometry do not."""
 
 
-class OffsetOutOfRange(LevyHeatError):
-    """A time shift points outside the sampled noise lattice."""
-
-
 class AllocationLimit(LevyHeatError):
     """A requested lattice exceeds the configured memory budget."""
 

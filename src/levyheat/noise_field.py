@@ -4,8 +4,8 @@ Cell (i, j) holds the noise increment over [t_i, t_{i+1}) x [x_j, x_{j+1}),
 an independent Normal(0, dt*dx) draw. Cells are addressed by a counter-based
 generator keyed on the seed: cell q = i*nx + j consumes raw word q of the
 keyed Philox stream (four 64-bit words per counter block), so sample_noise's
-full matrix, restart suffixes and the rows noise_rows streams from any start
-row agree bit-exactly. The stream refills ROW_BLOCK cells at a time into one
+full matrix and the rows noise_rows streams from any start row agree
+bit-exactly. The stream refills ROW_BLOCK cells at a time into one
 reused buffer, so a streamed march of b seeds holds O(b*nx) noise.
 
 The normal quantile is Cephes ndtri (the algorithm behind
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllocationLimit, OffsetOutOfRange
+from .errors import AllocationLimit
 
 MAX_CELLS = 1 << 26  # ~0.5 GiB of float64 increments
 
@@ -34,11 +34,8 @@ ROW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class NoiseLattice:
-    """Immutable (nt x nx) matrix of iid Normal(0, dt*dx) increments.
-
-    t0_cells records how many leading rows were dropped by shift_noise;
-    (seed, shape, t0_cells) fully determines the increments.
-    """
+    """Immutable (nt x nx) matrix of iid Normal(0, dt*dx) increments;
+    (seed, shape) fully determines them."""
 
     dt: float
     dx: float
@@ -46,7 +43,6 @@ class NoiseLattice:
     nx: int
     seed: int
     increments: np.ndarray = field(repr=False)
-    t0_cells: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or self.dx <= 0:
@@ -229,14 +225,3 @@ def noise_rows(dt: float, dx: float, nx: int, seeds, start: int, stop: int):
             raw[g] = bg.random_raw(n * nx)
         normals = _raw_to_normal(raw, scale, work)
         yield from normals.reshape(len(gens), n, nx).swapaxes(0, 1)
-
-
-def shift_noise(n: NoiseLattice, t_offset_cells: int) -> NoiseLattice:
-    """Suffix lattice starting t_offset_cells rows in (restart harness)."""
-    if not 0 <= t_offset_cells < n.nt:
-        raise OffsetOutOfRange(
-            f"offset {t_offset_cells} outside [0, {n.nt})")
-    return NoiseLattice(n.dt, n.dx, n.nt - t_offset_cells, n.nx, n.seed,
-                        n.increments[t_offset_cells:].copy(),
-                        n.t0_cells + t_offset_cells)
-

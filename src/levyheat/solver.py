@@ -20,21 +20,20 @@ Conventions shared by every marching routine here:
 
 * the field lattice is cell-centered, x_m = -L + (m + 1/2) dx with
   L = nx dx / 2, co-located with the noise cells;
-* the first step of any run from measure data is purely deterministic
-  (sigma of a measure is not defined), so noise row 0 is reserved and never
-  consumed; continuation runs consume shifted rows starting at 0;
+* every march starts from the measure u0 at time 0, and its first step
+  is purely deterministic (sigma of a measure is not defined), so noise
+  row 0 is reserved and never consumed;
 * the deterministic part is never stepped: row i is (p_{i dt} * u0)(x)
   by exact Fourier quadrature, from ``_det_rows`` on every route, and only
   the noise part is propagated.  This keeps the mean identity exact for
-  measure data.  Row i depends on the lattice and i alone, so restarts
-  are bit-exact (the propagated noise part is stored on the returned
-  lattice);
+  measure data.  Row i depends on the lattice and i alone, so a shorter
+  run is the head of a longer one, bit for bit;
 * the one-step propagators P and K0 are symmetric Toeplitz.  Below
   ``FFT_MIN_NX`` cells they are dense nx x nx matrices applied by BLAS;
   from ``FFT_MIN_NX`` on they are held as the rfft spectra of their
   circulant embeddings and a step costs O(nx log nx) per row instead of
   O(nx^2).  ``build_lattice`` makes the choice, so every march on one
-  lattice (fresh, restarted or shorter) applies the same arithmetic.
+  lattice (long or short) applies the same arithmetic.
 """
 
 from __future__ import annotations
@@ -172,13 +171,9 @@ def sigma_custom(table_x, table_y, lower_lip: float | None = None) -> SigmaSpec:
 class FieldLattice:
     """One realized field on a space-time lattice.
 
-    scheme is "picard" (picard_order sweeps) or "timestep".  noise_part
-    holds the propagated stochastic component for timestep runs (the full
-    rows, aligned with grid.values); it is what makes restarts bit-exact,
-    because the deterministic rows are recomputed analytically and float
-    subtraction would not recover the noise part.  eps_num is ten times the
-    measured drift of the deterministic rows under the lattice propagator,
-    the scheme-error yardstick used by positivity_scan.
+    scheme is "picard" (picard_order sweeps) or "timestep".  eps_num is
+    ten times the measured drift of the deterministic rows under the
+    lattice propagator, the scheme-error yardstick used by positivity_scan.
     """
 
     grid: SpaceTimeGrid
@@ -187,7 +182,6 @@ class FieldLattice:
     truncation_L: float
     dt: float
     picard_order: int | None = None
-    noise_part: np.ndarray | None = field(default=None, repr=False)
     eps_num: float | None = None
     exterior_mass_frac: float = 0.0
 
@@ -199,9 +193,6 @@ class FieldLattice:
                 raise ValueError("picard scheme needs picard_order >= 0")
             if self.picard_order == 0 and np.any(self.grid.values != 0.0):
                 raise ValueError("zeroth Picard stage must be identically 0")
-        elif self.noise_part is not None and \
-                self.noise_part.shape != self.grid.values.shape:
-            raise ValueError("noise_part shape must match the field rows")
 
 
 MomentRow = namedtuple("MomentRow", [
@@ -367,23 +358,21 @@ def _scheme_drift(lat) -> float:
     return max(worst, floor)
 
 
-def _det_rows(model, u0, dt, steps, x_nodes, half_width, spec, shift=0.0):
-    """Rows (p_{i dt + shift} * u0)(x_nodes), clamped at 0, for the
-    increasing step numbers i in steps.
+def _det_rows(model, u0, dt, n_steps, x_nodes, half_width, spec, shift=0.0):
+    """Rows (p_{i dt + shift} * u0)(x_nodes), clamped at 0, for the steps
+    i = 1..n_steps.
 
     One xi rule per lattice: cut off for dt, with panels down to t_hi, the
     time whose cutoff is 1 / half_width, past every time check_truncation
-    admits.  Rows go in whole ROW_CHUNKs of steps counted from step 1, so
-    a row's bits depend on its step number alone.
+    admits.  Rows go in whole ROW_CHUNKs of steps, so a row's bits depend
+    on its step number alone and a shorter run is the head of a longer one.
     """
-    steps = np.asarray(steps)
-    first = (steps[0] - 1) // ROW_CHUNK * ROW_CHUNK + 1
-    last = -(-steps[-1] // ROW_CHUNK) * ROW_CHUNK
+    last = -(-n_steps // ROW_CHUNK) * ROW_CHUNK
     t_hi = math.log(10.0 / spec.tol) / psi_eval(model, 1.0 / half_width)
-    rows = _fourier_rows(model, dt * np.arange(first, last + 1) + shift,
+    rows = _fourier_rows(model, dt * np.arange(1, last + 1) + shift,
                          x_nodes, spec, lambda xi: fourier_u0(u0, xi),
                          u0.data_radius, span=(dt, max(dt, t_hi)))
-    return np.maximum(rows[steps - first], 0.0)  # quadrature dust below 0
+    return np.maximum(rows[:n_steps], 0.0)  # quadrature dust below 0
 
 
 def step_numbers(values, dt: float, name: str) -> list[int]:
@@ -410,8 +399,8 @@ def step_slots(steps) -> dict[int, list[int]]:
 @dataclass(frozen=True)
 class Lattice:
     """What a march needs besides the noise: the cell centers, the exact
-    deterministic rows det[s, i] = (p_t * u0), clamped at 0, at t = i-th
-    step time + s-th shift (the rows of the start p_shift * u0; see
+    deterministic rows det[s, i] = (p_t * u0), clamped at 0, at
+    t = (i + 1) dt + s-th shift (the rows of the start p_shift * u0; see
     _det_rows), the one-step apply step(v, shot) = v P + shot K0 of the
     noise part, and the kernel mass outside the window at the last step
     time.  step holds P and K0 as dense matrices below FFT_MIN_NX cells
@@ -426,23 +415,23 @@ class Lattice:
 
 
 def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
-                  dx: float, nx: int, steps, shifts=(0.0,),
+                  dx: float, nx: int, n_steps: int, shifts=(0.0,),
                   spec: QuadratureSpec = DEFAULT_SPEC) -> Lattice:
-    """The Lattice of nx cells of width dx for the consecutive step numbers
-    steps (times i dt), with one start p_s * u0 per shift s.
+    """The Lattice of nx cells of width dx for the steps 1..n_steps
+    (times i dt), with one start p_s * u0 per shift s.
 
     Warns when the refinement relation p_dt(0) dx <= 0.5 fails; runs
     check_truncation at the last step time.  The det rows come from
-    _det_rows, so fresh, restarted and shorter runs share their bits.
+    _det_rows, so a shorter run shares its rows' bits with a longer one.
     """
     if p0_eval(model, dt, spec) * dx > 0.5:
         warnings.warn(
             "refinement relation violated: p_dt(0) dx > 0.5; one-step "
             "variance amplification is no longer controlled", stacklevel=3)
     half = 0.5 * nx * dx
-    ext = check_truncation(model, u0, dt * steps[-1], half, spec)
+    ext = check_truncation(model, u0, dt * n_steps, half, spec)
     x_nodes = x_centers(nx, dx)
-    det = np.array([_det_rows(model, u0, dt, steps, x_nodes, half, spec, s)
+    det = np.array([_det_rows(model, u0, dt, n_steps, x_nodes, half, spec, s)
                     for s in shifts])
     return Lattice(dt, dx, x_nodes, det, _propagators(model, dt, dx, nx), ext)
 
@@ -451,32 +440,26 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
 # Time stepping.
 # ---------------------------------------------------------------------------
 
-def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *, b: int = 1,
-          state=None) -> None:
+def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *,
+          b: int = 1) -> None:
     """The one time-step loop: v <- v P + (sigma(u) W_j) K0, u = det_j + v.
 
     The batch is (b, c, nx): b seeds, whose increments W_j drive step j,
     by the c starts of lat, which share that noise.  The iterable noise
     yields each (b, nx) W_j in step order, and each is used before the
     next is taken, so a stream may reuse one buffer (noise_rows).
-    observe(j, u, v) gets the field and its noise part, both (b, c, nx),
-    after step j.  A fresh march starts at lat.det[:, 0] and takes W_1 ..
-    W_{steps-1}; state = (v, u) continues an earlier march from W_0 on.
+    observe(j, u) gets the (b, c, nx) field after step j.  The march
+    starts at lat.det[:, 0] and takes W_1 .. W_{steps-1}.
     """
     c, steps, nx = lat.det.shape
-    if state is None:
-        v = np.zeros((b * c, nx))
-        u = np.broadcast_to(lat.det[:, 0], (b, c, nx)).copy()
-        observe(0, u, v.reshape(b, c, nx))
-    else:
-        v = np.reshape(state[0], (b * c, nx))
-        u = np.reshape(state[1], (b, c, nx))
-    for j, w in zip(range(1 if state is None else 0, steps), noise,
-                    strict=True):
+    v = np.zeros((b * c, nx))
+    u = np.broadcast_to(lat.det[:, 0], (b, c, nx)).copy()
+    observe(0, u)
+    for j, w in zip(range(1, steps), noise, strict=True):
         shot = sigma.apply(u) * w[:, None]
         v = lat.step(v, shot.reshape(b * c, nx))
         u = lat.det[:, j] + v.reshape(b, c, nx)
-        observe(j, u, v.reshape(b, c, nx))
+        observe(j, u)
 
 
 def _worker_count() -> int:
@@ -502,17 +485,21 @@ def _thread_map(fn, chunks, workers):
 
 
 def seed_ids(seeds) -> list[int]:
-    """Seeds as a list of ints; an int n stands for 0..n-1."""
+    """Seeds as a nonempty list of ints; an int n stands for 0..n-1."""
     if isinstance(seeds, (int, np.integer)):
-        return list(range(int(seeds)))
-    return [int(s) for s in seeds]
+        out = list(range(int(seeds)))
+    else:
+        out = [int(s) for s in seeds]
+    if not out:
+        raise ValueError("need at least one seed")
+    return out
 
 
 def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     """march() every seed, BATCH seeds per chunk, the chunks over
     _worker_count() threads.
 
-    observe(first, j, u, v) is march's observer, also told the position
+    observe(first, j, u) is march's observer, also told the position
     in seeds of the chunk's first seed.  Chunks run concurrently, so it
     may write only to slots of its own chunk.  A chunk streams its noise
     step by step from noise_rows, so its memory is O(BATCH nx) whatever
@@ -531,55 +518,32 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
 
 def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
            noise: NoiseLattice, t_end: float, *,
-           from_field: FieldLattice | None = None,
            spec: QuadratureSpec = DEFAULT_SPEC) -> FieldLattice:
-    """March the mild recursion to t_end on the noise lattice.
+    """March the mild recursion from the measure u0 to t_end on the noise
+    lattice.
 
-    Fresh runs start from the measure u0: row 1 is deterministic and noise
-    rows 1..m-1 drive the later steps (row 0 stays idle).  Passing
-    from_field continues a previous timestep run, whose last time must be
-    a step time i dt (else GridMismatch); the caller supplies the same
-    model/u0/sigma and the noise shifted to the restart step (shift_noise),
-    and the continuation consumes shifted rows from 0.  Restart-equivalence
-    then holds bit-exactly.
+    Row 1 is deterministic and noise rows 1..m-1 drive the later steps
+    (row 0 stays idle).
     """
     dt, dx, nx = noise.dt, noise.dx, noise.nx
-    j0, state = 0, None
-    if from_field is not None:
-        if from_field.scheme != "timestep" or from_field.noise_part is None:
-            raise ValueError("can only continue a timestep field that "
-                             "carries its noise part")
-        g = from_field.grid
-        if not (np.allclose(g.x_nodes, x_centers(nx, dx))
-                and math.isclose(from_field.dt, dt, rel_tol=1e-12)):
-            raise GridMismatch("continuation lattice must match the field")
-        try:
-            j0 = step_numbers(g.t_nodes[-1], dt, "restart time")[0]
-        except ValueError as exc:
-            raise GridMismatch(str(exc)) from None
-        state = (from_field.noise_part[-1], g.values[-1])
-
-    m = step_numbers(t_end - j0 * dt, dt, "time span")[0]
+    m = step_numbers(t_end, dt, "time span")[0]
     if m > noise.nt:
         raise ValueError(f"noise lattice has {noise.nt} rows, need {m}")
     if 3 * (m + 1) * nx > MAX_CELLS:
         raise AllocationLimit(
             f"field of {m} x {nx} cells exceeds the allocation budget")
 
-    steps = np.arange(j0 + 1, j0 + m + 1)
-    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, steps=steps,
-                        spec=spec)
+    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, n_steps=m, spec=spec)
     vals = np.empty((m, nx))
-    vpart = np.empty((m, nx))
 
-    def keep(j, u, v):
-        vals[j], vpart[j] = u[0, 0], v[0, 0]
+    def keep(j, u):
+        vals[j] = u[0, 0]
 
-    first = 1 if state is None else 0
-    march(lat, sigma, noise.increments[first:m, None], keep, state=state)
-    return FieldLattice(grid=SpaceTimeGrid(dt * steps, lat.x_nodes, vals),
+    march(lat, sigma, noise.increments[1:m, None], keep)
+    return FieldLattice(grid=SpaceTimeGrid(dt * np.arange(1, m + 1),
+                                           lat.x_nodes, vals),
                         scheme="timestep", seed=noise.seed,
-                        truncation_L=0.5 * nx * dx, dt=dt, noise_part=vpart,
+                        truncation_L=0.5 * nx * dx, dt=dt,
                         eps_num=10.0 * _scheme_drift(lat),
                         exterior_mass_frac=lat.exterior_mass_frac)
 
@@ -635,16 +599,16 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     x_nodes = x_centers(nx, dx)
     half = 0.5 * nx * dx
     ext = check_truncation(model, u0, horizon, half)
-    steps = np.arange(1, nt + 1)
     cur = np.zeros((nt, nx))  # stage 0
     if n > 0:
-        det = _det_rows(model, u0, dt, steps, x_nodes, half, DEFAULT_SPEC)
+        det = _det_rows(model, u0, dt, nt, x_nodes, half, DEFAULT_SPEC)
         srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                                  dt_average=dt)
         for _ in range(n):
             shots = sigma.apply(cur[:nt - 1]) * noise.increments[1:nt]
             cur = _lag_march(det, srows, lambda i, _row: shots[i])
-    return FieldLattice(grid=SpaceTimeGrid(dt * steps, x_nodes, cur),
+    return FieldLattice(grid=SpaceTimeGrid(dt * np.arange(1, nt + 1),
+                                           x_nodes, cur),
                         scheme="picard", seed=noise.seed, truncation_L=half,
                         dt=dt, picard_order=n, exterior_mass_frac=ext)
 
@@ -665,7 +629,7 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes) -> np.ndarray:
     nt, nx = t_nodes.size, x_nodes.size
     dt = float(t_nodes[0])
     dx = float(x_nodes[1] - x_nodes[0])
-    det = _det_rows(model, u0, dt, np.arange(1, nt + 1), x_nodes,
+    det = _det_rows(model, u0, dt, nt, x_nodes,
                     float(np.abs(x_nodes).max()) + 0.5 * dx, DEFAULT_SPEC)
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
@@ -779,14 +743,13 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     the reduction is in fixed chunk order, so results do not depend on
     the thread count.  snapshot_times also keeps every path's whole row
     at those times, from the same march (table.snapshots); the march then
-    runs to the later of t_end and the last snapshot time.
+    runs to the later of t_end and the last snapshot time.  t_probes,
+    x_probes and ks may be empty, for a march that only keeps snapshots.
     """
     seeds = seed_ids(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     steps = step_numbers(t_end, dt, "t_end")[0]
     t_idx = step_numbers(t_probes, dt, "t probe")
-    if max(t_idx) > steps:
+    if max(t_idx, default=0) > steps:
         raise ValueError("t probe beyond t_end")
     snap_idx = step_numbers(snapshot_times, dt, "snapshot time")
     if len(seeds) * len(snap_idx) * nx > MAX_CELLS:
@@ -795,9 +758,8 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     if any(kv < 1 for kv in ks):
         raise ValueError("moment orders must be >= 1")
 
-    steps = max([steps] + snap_idx)
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=np.arange(1, steps + 1))
+                        n_steps=max([steps] + snap_idx))
     x_nodes = lat.x_nodes
     cols = [int(np.argmin(np.abs(x_nodes - xp)))
             for xp in np.atleast_1d(np.asarray(x_probes, dtype=float))]
@@ -809,7 +771,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     sums = np.zeros((-(-len(seeds) // BATCH), 2, n_pt, n_px, n_k))
     snaps = np.empty((len(seeds), len(snap_idx), nx))
 
-    def collect(first, j, u, v):
+    def collect(first, j, u):
         for slot in snap_at.get(j, ()):
             snaps[first:first + u.shape[0], slot] = u[:, 0]
         slots = probe_at.get(j)
@@ -841,7 +803,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     rows_t, rows_x, rows_k = [], [], []
     est, se, b_eu, b_h1, rawm, rawse = [], [], [], [], [], []
     ptus = heat_convolve_rows(model, u0, np.asarray(t_idx) * dt,
-                              x_nodes[cols])
+                              x_nodes[cols]) if n_pt * n_px * n_k else ()
     for slot, (i, ptu) in enumerate(zip(t_idx, ptus)):
         t = i * dt
         pt0 = p0_eval(model, t)
@@ -983,12 +945,12 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     times = dt * np.arange(1, steps + 1)
     # start 0 is u0, start 1 + e is p_eps * u0 for the e-th eps
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        steps=range(1, steps + 1), shifts=[0.0] + eps_arr)
+                        n_steps=steps, shifts=[0.0] + eps_arr)
     decay = np.exp(-beta * times)
     dist = np.zeros((len(eps_arr), len(seed_list)))
     last = np.zeros_like(dist)
 
-    def accumulate(first, j, u, v):
+    def accumulate(first, j, u):
         sq = ((u[:, :1] - u[:, 1:]) ** 2).sum(axis=2).T
         dist[:, first:first + sq.shape[1]] += decay[j] * sq
         if j == steps - 1:

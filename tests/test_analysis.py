@@ -13,7 +13,6 @@ from levyheat import (NOT_APPLICABLE, BoundVerdict, FieldLattice,
                       pam_second_moment_oracle, sample_noise, sigma_linear,
                       sigma_saturating, small_t_scan, tabulated,
                       tail_decay_fit)
-from levyheat.analysis import _ensemble_rows
 from levyheat.errors import InsufficientRange
 
 BM = brownian(1.0)
@@ -60,8 +59,10 @@ def box_measure(radius=8.0, n=161):
 
 def batched_replicas(u0, sigma, *, dt, nx, half_width, t, n):
     """One-row FieldLattice per seed from the shared ensemble march."""
-    xn, rows = _ensemble_rows(BM, u0, sigma, dt=dt, nx=nx,
-                              half_width=half_width, t_probes=[t], seeds=n)
+    tab = mc_moments(BM, u0, sigma, dt=dt, nx=nx, half_width=half_width,
+                     t_end=t, seeds=n, t_probes=[], x_probes=[], ks=[],
+                     snapshot_times=[t])
+    rows, xn = tab.snapshots, tab.lattice.x_nodes
     return [FieldLattice(grid=SpaceTimeGrid(np.array([t]), xn, rows[i]),
                          scheme="timestep", seed=i,
                          truncation_L=half_width, dt=dt)
@@ -326,6 +327,20 @@ class TestModulusEstimate:
         with pytest.raises(ValueError, match="share"):
             modulus_estimate(reps + other, 0.1, (0.0, 1.0), 0.5)
 
+    def test_reads_a_real_time_row(self):
+        reps = evolve_replicas(U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                               t_end=0.1, n=2)
+        ref = modulus_estimate(reps, 0.05, (0.0, 1.0), 0.5)
+        assert modulus_estimate(reps, 0.05 * (1 + 1e-12), (0.0, 1.0),
+                                0.5) == ref
+        for t in (0.055, 0.2, 0.005):  # between rows, past the end, before
+            with pytest.raises(ValueError, match="time row"):
+                modulus_estimate(reps, t, (0.0, 1.0), 0.5)
+        one = batched_replicas(U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                               t=0.1, n=2)
+        with pytest.raises(ValueError, match="time row"):
+            modulus_estimate(one, 0.05, (0.0, 1.0), 0.5)
+
 
 class TestNochaosSupScan:
 
@@ -359,6 +374,10 @@ class TestNochaosSupScan:
             nochaos_sup_scan(BM, spread, PAM, 0.5, [5.0], 4)
         with pytest.raises(ValueError, match="positive"):
             nochaos_sup_scan(BM, U0, PAM, 0.5, [0.0], 4)
+
+    def test_needs_a_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            nochaos_sup_scan(BM, U0, PAM, 0.5, [5.0], 0)
 
 
 class TestLyapunovFit:
@@ -412,23 +431,3 @@ class TestLyapunovFit:
             lyapunov_fit(tab, 2.0)
         lo, hi = lyapunov_fit(tab, 2.0, x=0.0)
         assert lo < 1.0 < hi or abs(lo - 1.0) < 1e-6 or lo <= 1.0 <= hi
-
-
-class TestEnsembleRows:
-
-    def test_matches_evolve_rows(self):
-        t = 0.2
-        xn, rows = _ensemble_rows(BM, U0, PAM, dt=0.01, nx=128,
-                                  half_width=8.0, t_probes=[0.1, t], seeds=3)
-        assert rows.shape == (3, 2, 128)
-        for s in range(3):
-            fld = evolve(BM, U0, PAM,
-                         sample_noise(0.01, 0.125, 20, 128, s), t)
-            ref = fld.grid.values[-1]
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(rows[s, 1] - ref)) < 1e-9 * scale
-
-    def test_repeated_probe_time_fills_every_slot(self):
-        _, rows = _ensemble_rows(BM, U0, PAM, dt=0.01, nx=128,
-                                 half_width=8.0, t_probes=[0.1, 0.1], seeds=4)
-        assert np.array_equal(rows[:, 0], rows[:, 1])

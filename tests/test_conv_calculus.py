@@ -20,6 +20,7 @@ from levyheat import levy_kernel
 from levyheat.conv_calculus import (
     SpaceTimeGrid,
     _add_inverse,
+    _interp_rows,
     _level_rows,
     _spectral_rule,
     check_lemma_pp,
@@ -68,10 +69,14 @@ class TestSpaceTimeGrid:
 
     def test_row_interpolation_clamps(self):
         g = small_grid(3)
-        assert_allclose(g.row_at(g.t_nodes[0] / 2), g.values[0])
-        assert_allclose(g.row_at(g.t_nodes[-1] * 2), g.values[-1])
-        mid = 0.5 * (g.t_nodes[3] + g.t_nodes[4])
-        assert_allclose(g.row_at(mid), 0.5 * (g.values[3] + g.values[4]))
+        t, v = g.t_nodes, g.values
+        assert_allclose(_interp_rows(t, v, t[0] / 2), v[0])
+        assert_allclose(_interp_rows(t, v, t[-1] * 2), v[-1])
+        mid = 0.5 * (t[3] + t[4])
+        assert_allclose(_interp_rows(t, v, mid), 0.5 * (v[3] + v[4]))
+        # limit clamps at row limit - 1, and an array of times gives rows
+        assert_allclose(_interp_rows(t, v, np.array([mid, t[-1]]), 4),
+                        [v[3], v[3]])
 
     def test_graded_times(self):
         ts = graded_times(2.0, n=40, include=[0.3, 2.0])

@@ -44,9 +44,9 @@ def test_checker_sees_private_imports(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from .solver import _thread_map, mc_moments\n"
                    "def f():\n"
-                   "    from levyheat.analysis import _ensemble_rows\n")
+                   "    from levyheat.analysis import _scan_grid\n")
     assert private_imports(src) == [(1, "solver", "_thread_map"),
-                                    (3, "analysis", "_ensemble_rows")]
+                                    (3, "analysis", "_scan_grid")]
 
 
 def package_env():

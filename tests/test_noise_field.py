@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from levyheat import AllocationLimit, OffsetOutOfRange
+from levyheat import AllocationLimit
 from levyheat.noise_field import (
     ROW_BLOCK,
     NoiseLattice,
@@ -14,7 +14,6 @@ from levyheat.noise_field import (
     _raw_to_normal,
     noise_rows,
     sample_noise,
-    shift_noise,
 )
 from levyheat.solver import BATCH
 
@@ -103,40 +102,6 @@ class TestStatistics:
         right = replicas[:, :, 8:].sum(axis=(1, 2))
         r = np.corrcoef(left, right)[0, 1]
         assert abs(r) < 4.0 / np.sqrt(N_REPS)
-
-
-class TestShift:
-    def test_zero_offset_identity(self):
-        lat = sample_noise(0.1, 0.2, 6, 4, seed=5)
-        sh = shift_noise(lat, 0)
-        assert np.array_equal(sh.increments, lat.increments)
-        assert sh.t0_cells == 0
-
-    def test_suffix_rows(self):
-        lat = sample_noise(0.1, 0.2, 6, 4, seed=5)
-        sh = shift_noise(lat, 2)
-        assert sh.nt == 4
-        assert np.array_equal(sh.increments, lat.increments[2:])
-        assert sh.t0_cells == 2
-
-    def test_boundary_single_row(self):
-        lat = sample_noise(0.1, 0.2, 6, 4, seed=5)
-        sh = shift_noise(lat, 5)
-        assert sh.nt == 1
-        assert np.array_equal(sh.increments[0], lat.increments[5])
-
-    def test_shifted_rows_regenerable(self):
-        lat = sample_noise(0.1, 0.2, 7, 13, seed=99)
-        sh = shift_noise(lat, 3)
-        regen = np.array([r.copy() for r in
-                          noise_rows(0.1, 0.2, 13, [99], 3, 7)])
-        assert np.array_equal(sh.increments, regen[:, 0])
-
-    @pytest.mark.parametrize("offset", [-1, 6, 100])
-    def test_offset_out_of_range(self, offset):
-        lat = sample_noise(0.1, 0.2, 6, 4, seed=5)
-        with pytest.raises(OffsetOutOfRange):
-            shift_noise(lat, offset)
 
 
 def uniforms(raw):

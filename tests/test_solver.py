@@ -30,7 +30,6 @@ from levyheat import (
     picard_iterate,
     positivity_scan,
     sample_noise,
-    shift_noise,
     sigma_custom,
     sigma_linear,
     sigma_saturating,
@@ -73,8 +72,8 @@ def delta_closed_form(lam, t, x):
     return np.exp(-x ** 2 / t) / math.sqrt(math.pi * t) * h
 
 
-# more than two row chunks of steps, so restarts land on both sides of a
-# chunk boundary
+# more than two row chunks of steps, so shorter runs end on both sides of
+# a chunk boundary
 LONG_STEPS = 70
 
 
@@ -101,18 +100,12 @@ def dense_propagators(model, dt, dx, nx):
     return dx * toeplitz(rows[1]), toeplitz(avg0)
 
 
-def assert_restart_bit_exact(run, j0):
-    """A shorter fresh run is the head of the long one, and a restart from
-    it at step j0 reproduces the long run's tail, bit for bit."""
+def assert_head_of_run(run, j0):
+    """The j0-step run is the first j0 rows of the long one, bit for bit."""
     noise, full = run
     part = evolve(BM, U0, PAM, noise, 0.01 * j0)
+    assert np.array_equal(part.grid.t_nodes, full.grid.t_nodes[:j0])
     assert np.array_equal(part.grid.values, full.grid.values[:j0])
-    assert np.array_equal(part.noise_part, full.noise_part[:j0])
-    rest = evolve(BM, U0, PAM, shift_noise(noise, j0),
-                  0.01 * LONG_STEPS, from_field=part)
-    assert np.array_equal(rest.grid.t_nodes, full.grid.t_nodes[j0:])
-    assert np.array_equal(rest.grid.values, full.grid.values[j0:])
-    assert np.array_equal(rest.noise_part, full.noise_part[j0:])
 
 
 @pytest.fixture(scope="module")
@@ -190,14 +183,6 @@ class TestFieldLattice:
             FieldLattice(grid=grid, scheme="picard", seed=0,
                          truncation_L=1.0, dt=0.1, picard_order=0)
 
-    def test_noise_part_shape(self):
-        grid = SpaceTimeGrid(np.array([0.1]), np.array([0.0, 1.0]),
-                             np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            FieldLattice(grid=grid, scheme="timestep", seed=0,
-                         truncation_L=1.0, dt=0.1,
-                         noise_part=np.zeros((2, 2)))
-
 
 class TestEvolve:
     def test_sigma_zero_is_deterministic(self):
@@ -207,7 +192,7 @@ class TestEvolve:
         noise = sample_noise(0.01, 0.125, 20, 64, seed=3)
         fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2, spec=spec)
         lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64,
-                            steps=range(1, 21), spec=spec)
+                            n_steps=20, spec=spec)
         assert np.array_equal(fld.grid.values, lat.det[0])
         # the lattice's one rule against one rule per time
         xs = fld.grid.x_nodes
@@ -219,22 +204,13 @@ class TestEvolve:
     @pytest.mark.parametrize("j0", [1, 10, ROW_CHUNK - 1, ROW_CHUNK,
                                     ROW_CHUNK + 1, 2 * ROW_CHUNK,
                                     LONG_STEPS - 1])
-    def test_restart_bit_exact(self, long_run, j0):
-        assert_restart_bit_exact(long_run, j0)
+    def test_head_of_run_bit_exact(self, long_run, j0):
+        assert_head_of_run(long_run, j0)
 
     @pytest.mark.parametrize("j0", [1, ROW_CHUNK, LONG_STEPS - 1])
-    def test_restart_bit_exact_circulant(self, wide_run, j0):
+    def test_head_of_run_bit_exact_circulant(self, wide_run, j0):
         assert WIDE_NX >= FFT_MIN_NX and next_fast_len(2 * WIDE_NX) % 2
-        assert_restart_bit_exact(wide_run, j0)
-
-    def test_off_lattice_continuation_rejected(self):
-        noise = sample_noise(0.01, 0.125, 20, 64, seed=2)
-        part = evolve(BM, U0, PAM, noise, 0.1)
-        g = part.grid
-        off = dataclasses.replace(part, grid=SpaceTimeGrid(
-            g.t_nodes + 0.004, g.x_nodes, g.values))
-        with pytest.raises(GridMismatch, match="restart time"):
-            evolve(BM, U0, PAM, shift_noise(noise, 10), 0.2, from_field=off)
+        assert_head_of_run(wide_run, j0)
 
     def test_rule_count_does_not_grow_with_steps(self, monkeypatch):
         builds = []
@@ -279,7 +255,7 @@ class TestEvolve:
         # tol a per-time rule drops ~1e-12 of its row past its cutoff
         spec = QuadratureSpec(tol=1e-13)
         dt = lo / 64
-        rows = _det_rows(model, U0, dt, [1, 64], xs, half, spec)
+        rows = _det_rows(model, U0, dt, 64, xs, half, spec)[[0, 63]]
         for row, t in zip(rows, [dt, 64 * dt]):
             ref = np.maximum(heat_convolve_many(model, U0, t, xs, spec), 0.0)
             assert np.abs(row - ref).max() <= 1e-12 * ref.max()
@@ -326,23 +302,23 @@ class TestPropagators:
     def test_dense_march_below_threshold_is_the_matrix_product(self):
         nx, dt, dx = 256, 0.01, 0.0625
         assert nx < FFT_MIN_NX
-        lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, steps=range(1, 11),
+        lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, n_steps=10,
                             shifts=[0.0, 0.05])
         noise = np.array([sample_noise(dt, dx, 10, nx, s).increments
                           for s in range(3)])
         got = []
         march(lat, PAM, noise_rows(dt, dx, nx, range(3), 1, 10),
-              lambda j, u, v: got.append(v.copy()), b=3)
+              lambda j, u: got.append(u.copy()), b=3)
         # the march loop with P and K0 as explicit matrices
         p, k0 = dense_propagators(BM, dt, dx, nx)
         v = np.zeros((6, nx))
         u = np.broadcast_to(lat.det[:, 0], (3, 2, nx))
-        ref = [v.reshape(3, 2, nx)]
+        ref = [u]
         for j in range(1, 10):
             shot = PAM.apply(u) * noise[:, None, j]
             v = v @ p + shot.reshape(6, nx) @ k0
             u = lat.det[:, j] + v.reshape(3, 2, nx)
-            ref.append(v.reshape(3, 2, nx))
+            ref.append(u)
         assert np.array_equal(np.array(got), np.array(ref))
 
     def test_toeplitz_is_scipy_toeplitz(self):
@@ -366,8 +342,7 @@ class TestPropagators:
         nx, dx, dt = 512, 1.0 / 32, 1e-3
         peaks = {}
         for steps in (50, 400):
-            lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx,
-                                steps=range(1, steps + 1))
+            lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, n_steps=steps)
             tracemalloc.start()
             try:
                 march_seeds(lat, PAM, range(BATCH), lambda *_: None)
@@ -624,6 +599,19 @@ class TestMcMoments:
             assert np.array_equal(twice.snapshots[:, slot],
                                   once.snapshots[:, 0])
 
+    def test_snapshots_match_evolve_rows(self):
+        tab = mc_moments(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
+                         t_end=0.2, seeds=3, t_probes=[], x_probes=[], ks=[],
+                         snapshot_times=[0.1, 0.2])
+        assert tab.snapshots.shape == (3, 2, 128) and tab.t.size == 0
+        for s in range(3):
+            fld = evolve(BM, U0, PAM,
+                         sample_noise(0.01, 0.125, 20, 128, s), 0.2)
+            assert np.array_equal(tab.lattice.x_nodes, fld.grid.x_nodes)
+            ref = fld.grid.values[-1]
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(tab.snapshots[s, 1] - ref)) < 1e-9 * scale
+
 
 class TestStability:
     def test_bound_vanishes_at_zero(self):
@@ -650,6 +638,12 @@ class TestStability:
         # upsilon(beta) = 1/(2 sqrt(beta)) <= 1/(2 lip^2) needs beta >= 1
         with pytest.raises(ValueError, match="admissible"):
             stability_compare(BM, U0, PAM, [0.1], 0.49, 4,
+                              t_max=0.1, dt=0.01, nx=64, half_width=12.0)
+
+    @pytest.mark.parametrize("seeds", [0, []])
+    def test_needs_a_seed(self, seeds):
+        with pytest.raises(ValueError, match="seed"):
+            stability_compare(BM, U0, PAM, [0.1], 1.21, seeds,
                               t_max=0.1, dt=0.01, nx=64, half_width=12.0)
 
     def test_coupled_distance_under_bound(self):
