@@ -25,7 +25,7 @@ import numpy as np
 from numpy.fft import irfft
 
 from .levy_kernel import (
-    DEFAULT_SPEC,
+    XI_TOL,
     KernelModel,
     _cutoff_for,
     _fast_len,
@@ -204,7 +204,7 @@ def _square_remainder_hat(model, u0, khat, amp, xi, ts) -> np.ndarray:
     alpha = model.alpha if model.kind == "stable" else 2.0
     scale = (model.kappa * ts[-1]) ** (1.0 / alpha)
     half = u0.data_radius + max(24.0 * scale, min(10.0, 100.0 * scale))
-    eta_max = _cutoff_for(model, ts[0], DEFAULT_SPEC.tol)
+    eta_max = _cutoff_for(model, ts[0], XI_TOL)
     n = _fast_len(math.ceil(4.0 * half * eta_max / math.pi), real=True)
     eta = (math.pi / half) * np.arange(n // 2 + 1)
     phat = np.exp(-np.multiply.outer(ts, psi_eval(model, eta))) \
@@ -236,7 +236,7 @@ def _spectral_rule(model, u0, t_values, x_out):
     grade = math.log2(cutoff / (2.0 * _cutoff_for(model, 2.0 * t_max,
                                                   ORACLE_XI_TOL)))
     xi, w = _xi_rule(cutoff, float(np.abs(x_out).max()) + u0.data_radius,
-                     DEFAULT_SPEC, n_geo=math.ceil(grade) + 2)
+                     n_geo=math.ceil(grade) + 2)
     amp = np.real_if_close(sum((m * m * np.exp(1j * xi * y)
                                 for y, m in u0.atoms), np.zeros(xi.size)))
     if len(u0.atoms) == 1 and u0.density_grid is None:

@@ -25,30 +25,18 @@ import numpy as np
 
 from .errors import DivergentResolvent, NoRoot, QuadratureUnderresolved
 
-# Default grid for the theta scan: 33 points per decade over [1e-4, 1e4].
+# Grid for the theta scan: 33 points per decade over [1e-4, 1e4].
 THETA_T_GRID = np.logspace(-4.0, 4.0, 8 * 33 + 1)
+
+# The Fourier-inversion quadrature: its cutoff at time t solves
+# exp(-t psi(cutoff)) = XI_TOL / 10, and a xi rule that needs more than
+# XI_NODES nodes raises QuadratureUnderresolved.
+XI_TOL = 1e-10
+XI_NODES = 400_000
 
 # Hard ceiling for bracket expansion in g_eval before returning the
 # saturation sentinel.
 _G_T_CAP = 1e14
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the Fourier-inversion quadrature.
-
-    cutoff_xi: fixed truncation of the xi axis, or None to solve
-        exp(-t * psi(cutoff)) = tol/10 per call.
-    nodes: total node budget; exceeding it raises QuadratureUnderresolved.
-    tol: target tail bound exp(-t * psi(cutoff)) <= tol.
-    """
-
-    cutoff_xi: float | None = None
-    nodes: int = 400_000
-    tol: float = 1e-10
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,8 @@ def psi_eval(model: KernelModel, xi):
 
 
 def _cutoff_for(model: KernelModel, t: float, tol: float) -> float:
-    """Smallest xi with exp(-t psi(xi)) <= tol/10."""
+    """Smallest xi with exp(-t psi(xi)) <= tol/10: the quadrature's cutoff
+    at tol = XI_TOL, or at a tighter tol where a caller needs one."""
     target = math.log(10.0 / tol) / t
     if model.kind == "brownian":
         return math.sqrt(2.0 * target / model.kappa)
@@ -134,8 +123,9 @@ def _cutoff_for(model: KernelModel, t: float, tol: float) -> float:
     idx = np.searchsorted(run, target)
     if idx >= run.size:
         raise QuadratureUnderresolved(
-            f"tabulated exponent never reaches psi={target:g} needed for "
-            f"t={t:g}; extend the table or loosen tol"
+            f"tabulated exponent reaches only psi={run[-1]:g} (table ends "
+            f"at xi={model.xi_table[-1]:g}); t={t:g} needs a table that "
+            f"reaches psi={target:g}"
         )
     return float(model.xi_table[idx])
 
@@ -161,9 +151,8 @@ def _unique(values) -> np.ndarray:
     return a[keep]
 
 
-def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
-             n_geo: int = 28):
-    """Gauss-Legendre nodes/weights on [0, cutoff].
+def _xi_rule(cutoff: float, osc_scale: float, n_geo: int = 28):
+    """Gauss-Legendre nodes/weights on [0, cutoff], at most XI_NODES of them.
 
     Panels are geometric toward 0 so that widely separated psi scales are
     all resolved. Oscillatory integrands (cos(x xi) with |x| up to
@@ -175,9 +164,9 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
     a, b = edges[:-1], edges[1:]
     z, w = _gauss_rule(48)
     m = np.maximum(1.0, np.ceil(osc_scale * (b - a) / 32.0))  # sub-panels
-    if not m.sum() * z.size <= spec.nodes:
+    if not m.sum() * z.size <= XI_NODES:
         raise QuadratureUnderresolved(
-            f"xi quadrature needs more than the budget of {spec.nodes} "
+            f"xi quadrature needs more than the budget of {XI_NODES} "
             f"nodes (cutoff {cutoff:g}, oscillation scale {osc_scale:g})"
         )
     # Every panel's sub-panel ends at once, with np.linspace(a, b, m + 1)'s
@@ -200,15 +189,15 @@ def _xi_rule(cutoff: float, osc_scale: float, spec: QuadratureSpec,
 ROW_CHUNK = 32
 
 
-def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
-                  u_hat=None, radius: float = 0.0, span=None) -> np.ndarray:
+def _fourier_rows(model: KernelModel, ts, xs, u_hat=None,
+                  radius: float = 0.0, span=None) -> np.ndarray:
     """Rows (1/pi) int_0^cutoff e^{-t psi} Re[u_hat(xi) e^{-i xi x}] dxi,
     one per t in ts, at every x in xs; u_hat = None means u_hat = 1.
 
     One xi rule serves the whole block: with (t_lo, t_hi) = span, by
-    default (min(ts), max(ts)), its cutoff is sized for t_lo and its
-    geometric panels are extended by log2 of the cutoff ratio of t_lo to
-    t_hi, so t_hi sees panels as fine near 0 as its own rule would give.
+    default (min(ts), max(ts)), its cutoff is sized for t_lo at XI_TOL and
+    its geometric panels are extended by log2 of the cutoff ratio of t_lo
+    to t_hi, so t_hi sees panels as fine near 0 as its own rule would give.
     With D = damp * weights * u_hat the rows are Re(D) cos(xi x) +
     Im(D) sin(xi x) in real arithmetic (no sin product when u_hat is
     real), blocked over x so each phase array stays ~8 MB, one GEMM per
@@ -221,14 +210,10 @@ def _fourier_rows(model: KernelModel, ts, xs, spec: QuadratureSpec,
     if ts.size == 0:
         return np.empty((0, xs.size))
     t_lo, t_hi = span or (float(ts.min()), float(ts.max()))
-    cutoff = spec.cutoff_xi or _cutoff_for(model, t_lo, spec.tol)
-    if math.exp(-t_lo * float(psi_eval(model, cutoff))) > spec.tol:
-        raise QuadratureUnderresolved(
-            f"cutoff {cutoff:g} leaves tail exp(-t psi) above tol={spec.tol:g}"
-        )
+    cutoff = _cutoff_for(model, t_lo, XI_TOL)
     extra = 0 if t_hi == t_lo else max(0, math.ceil(math.log2(
-        _cutoff_for(model, t_lo, spec.tol) / _cutoff_for(model, t_hi, spec.tol))))
-    nodes, weights = _xi_rule(cutoff, float(np.abs(xs).max()) + radius, spec,
+        cutoff / _cutoff_for(model, t_hi, XI_TOL))))
+    nodes, weights = _xi_rule(cutoff, float(np.abs(xs).max()) + radius,
                               n_geo=28 + extra)
     d = np.exp(-np.multiply.outer(ts, psi_eval(model, nodes))) * weights
     uh = 1.0 if u_hat is None else u_hat(nodes)
@@ -296,20 +281,19 @@ def _squared_kernel_hat(model: KernelModel):
     return khat
 
 
-def p_eval_many(model: KernelModel, t: float, xs, spec: QuadratureSpec = DEFAULT_SPEC):
+def p_eval_many(model: KernelModel, t: float, xs):
     """Transition density p_t at an array of offsets, one shared quadrature."""
-    return _fourier_rows(model, [t], xs, spec)[0]
+    return _fourier_rows(model, [t], xs)[0]
 
 
-def p_eval(model: KernelModel, t: float, x: float,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def p_eval(model: KernelModel, t: float, x: float) -> float:
     """Transition density p_t(x) by cosine-form Fourier inversion."""
-    return float(p_eval_many(model, t, [x], spec)[0])
+    return float(p_eval_many(model, t, [x])[0])
 
 
-def p0_eval(model: KernelModel, t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def p0_eval(model: KernelModel, t: float) -> float:
     """p_t(0), the on-diagonal density."""
-    return p_eval(model, t, 0.0, spec)
+    return p_eval(model, t, 0.0)
 
 
 def _tail_inv_psi(model: KernelModel, cutoff: float) -> float:
@@ -338,8 +322,7 @@ def _tabulated_tail_power(model: KernelModel) -> tuple[float, float]:
     return a_hat, c_hat
 
 
-def p0_integral(model: KernelModel, t: float,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def p0_integral(model: KernelModel, t: float) -> float:
     """int_0^t p_r(0) dr via the swapped representation.
 
     Exchanging the r and xi integrals gives
@@ -348,8 +331,8 @@ def p0_integral(model: KernelModel, t: float,
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    cutoff = _cutoff_for(model, t, min(spec.tol, 1e-12))
-    nodes, weights = _xi_rule(cutoff, 0.0, spec)
+    cutoff = _cutoff_for(model, t, min(XI_TOL, 1e-12))
+    nodes, weights = _xi_rule(cutoff, 0.0)
     ps = psi_eval(model, nodes)
     a = t * ps
     core = np.where(a < 1e-12, t * (1.0 - 0.5 * a), -np.expm1(-a) / np.maximum(ps, 1e-300))
@@ -375,8 +358,7 @@ def _upsilon_tail(model: KernelModel, beta: float, cutoff: float) -> float:
         n += 1
 
 
-def upsilon_eval(model: KernelModel, beta: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def upsilon_eval(model: KernelModel, beta: float) -> float:
     """Resolvent functional (1/2pi) int dxi / (beta + 2 psi(xi))."""
     if not beta > 0:
         raise ValueError("beta must be positive")
@@ -396,34 +378,32 @@ def upsilon_eval(model: KernelModel, beta: float,
                 "tabulated exponent table too short to resolve the resolvent "
                 f"at beta={beta:g}"
             )
-    nodes, weights = _xi_rule(cutoff, 0.0, spec)
+    nodes, weights = _xi_rule(cutoff, 0.0)
     core = weights @ (1.0 / (beta + 2.0 * psi_eval(model, nodes)))
     return float(core + _upsilon_tail(model, beta, cutoff)) / math.pi
 
 
-def theta_estimate(model: KernelModel, t_grid=None,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """sup over t of p_{t/2}(0) / p_t(0), scanned on a log grid.
+def theta_estimate(model: KernelModel) -> float:
+    """sup over t of p_{t/2}(0) / p_t(0), scanned over t in THETA_T_GRID.
 
-    The grid must span at least four decades. For tabulated exponents the
-    scan is only a lower bound on the true sup, so a warning is emitted.
+    For tabulated exponents the scan is only a lower bound on the true
+    sup, so a warning is emitted.
     """
-    grid = THETA_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    if grid.min() <= 0 or grid.max() / grid.min() < 1e4:
-        raise ValueError("theta scan grid must be positive and span >= 4 decades")
     if model.kind == "tabulated":
         warnings.warn(
             "theta for a tabulated exponent is a grid max, not a certified sup",
             stacklevel=2,
         )
-    ratios = [p0_eval(model, 0.5 * t, spec) / p0_eval(model, t, spec) for t in grid]
+    ratios = [p0_eval(model, 0.5 * t) / p0_eval(model, t)
+              for t in THETA_T_GRID]
     return float(max(ratios))
 
 
 def _memo_by_model(fn):
     """Cache fn(model, k, lip) on the model's parameters and (k, lip) to 12
     digits. Tabulated models, whose tables are arrays, and calls passing
-    further arguments are computed afresh."""
+    a further argument (only frak_T takes one, its theta) are computed
+    afresh."""
     cache: dict[tuple, float] = {}
 
     @functools.wraps(fn)
@@ -439,8 +419,7 @@ def _memo_by_model(fn):
 
 
 @_memo_by_model
-def gamma_k(model: KernelModel, k: float, lip: float,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def gamma_k(model: KernelModel, k: float, lip: float) -> float:
     """Moment growth threshold: smallest beta with upsilon(2 beta/k) < 1/(4 k lip^2)."""
     if k < 2:
         raise ValueError("moment order k must be >= 2")
@@ -449,7 +428,7 @@ def gamma_k(model: KernelModel, k: float, lip: float,
     thr = 1.0 / (4.0 * k * lip * lip)
 
     def f(beta):
-        return upsilon_eval(model, 2.0 * beta / k, spec) - thr
+        return upsilon_eval(model, 2.0 * beta / k) - thr
 
     lo, hi = 1e-12, 1.0
     it = 0
@@ -472,8 +451,7 @@ def gamma_k(model: KernelModel, k: float, lip: float,
     return 0.5 * (lo + hi)
 
 
-def g_eval(model: KernelModel, a: float,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def g_eval(model: KernelModel, a: float) -> float:
     """Inverse kernel-mass clock: inf { t : int_0^t p_r(0) dr >= a }.
 
     Returns math.inf when the integral saturates below a.
@@ -481,15 +459,13 @@ def g_eval(model: KernelModel, a: float,
     if not a > 0:
         raise ValueError("a must be positive")
     lo, hi = 0.0, 1.0
-    it = 0
-    while p0_integral(model, hi, spec) < a:
+    while p0_integral(model, hi) < a:
         lo, hi = hi, hi * 4.0
-        it += 1
         if hi > _G_T_CAP:
             return math.inf
     while hi - lo > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
-        if p0_integral(model, mid, spec) >= a:
+        if p0_integral(model, mid) >= a:
             hi = mid
         else:
             lo = mid
@@ -497,14 +473,14 @@ def g_eval(model: KernelModel, a: float,
 
 
 @_memo_by_model
-def frak_T(model: KernelModel, k: float, lip: float, theta: float | None = None,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def frak_T(model: KernelModel, k: float, lip: float,
+           theta: float | None = None) -> float:
     """Short-horizon bound for the order-k moment theory.
 
     frak_T_k = g( 1 / (32 k theta (1 v lip^2)) ); decreasing in k and lip.
     """
-    th = theta_estimate(model, spec=spec) if theta is None else theta
-    return g_eval(model, 1.0 / (32.0 * k * th * max(1.0, lip * lip)), spec)
+    th = theta_estimate(model) if theta is None else theta
+    return g_eval(model, 1.0 / (32.0 * k * th * max(1.0, lip * lip)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +550,15 @@ def bandlimited_rows(model: KernelModel, dx: float, n_offsets: int,
     return rows
 
 
-def interval_mass(model: KernelModel, t: float, c: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def interval_mass(model: KernelModel, t: float, c: float) -> float:
     """int_{-c}^{c} p_t(z) dz = (2/pi) int_0^inf exp(-t psi) sin(c xi)/xi dxi."""
     if not (t > 0 and c > 0):
         raise ValueError("t and c must be positive")
-    cutoff = spec.cutoff_xi or _cutoff_for(model, t, spec.tol)
-    nodes, weights = _xi_rule(cutoff, c, spec)
+    nodes, weights = _xi_rule(_cutoff_for(model, t, XI_TOL), c)
     vals = np.exp(-t * psi_eval(model, nodes)) * np.sin(c * nodes) / nodes
     return float(2.0 / math.pi * (weights @ vals))
 
 
-def exterior_mass(model: KernelModel, t: float, c: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def exterior_mass(model: KernelModel, t: float, c: float) -> float:
     """Mass of p_t outside [-c, c]; clipped at 0 against quadrature noise."""
-    return max(0.0, 1.0 - interval_mass(model, t, c, spec))
+    return max(0.0, 1.0 - interval_mass(model, t, c))

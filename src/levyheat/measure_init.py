@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid
-from .levy_kernel import (
-    DEFAULT_SPEC,
-    KernelModel,
-    QuadratureSpec,
-    _fourier_rows,
-)
+from .levy_kernel import KernelModel, _fourier_rows
 
 
 @dataclass(frozen=True)
@@ -154,25 +149,25 @@ def fourier_u0(u0: FiniteMeasure, xi):
     return out if np.ndim(xi) else complex(out)
 
 
-def heat_convolve_many(model: KernelModel, u0: FiniteMeasure, t: float, xs,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def heat_convolve_many(model: KernelModel, u0: FiniteMeasure, t: float,
+                       xs) -> np.ndarray:
     """(p_t * u0)(x) for an array of x, one shared Fourier quadrature."""
-    return _fourier_rows(model, [t], xs, spec, lambda xi: fourier_u0(u0, xi),
+    return _fourier_rows(model, [t], xs, lambda xi: fourier_u0(u0, xi),
                          u0.data_radius)[0]
 
 
-def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts, xs,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def heat_convolve_rows(model: KernelModel, u0: FiniteMeasure, ts,
+                       xs) -> np.ndarray:
     """(p_t * u0)(x) rows over an array of times, one xi rule per call.
 
-    The cutoff is sized for the smallest time and the geometric panels
-    toward 0 are extended by log2 of the cutoff ratio of the smallest to
-    the largest time, so each row is resolved as well as by its own rule;
-    one real cos (and, for data not symmetric about 0, sin) phase matrix
-    serves every row.
+    The cutoff is sized for the smallest time at XI_TOL and the geometric
+    panels toward 0 are extended by log2 of the cutoff ratio of the
+    smallest to the largest time, so each row is resolved as well as by its
+    own rule; one real cos (and, for data not symmetric about 0, sin) phase
+    matrix serves every row.
     """
-    return _fourier_rows(model, ts, xs, spec,
-                         lambda xi: fourier_u0(u0, xi), u0.data_radius)
+    return _fourier_rows(model, ts, xs, lambda xi: fourier_u0(u0, xi),
+                         u0.data_radius)
 
 
 def make_positive_definite_example(a: float) -> FiniteMeasure:

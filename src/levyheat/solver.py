@@ -53,11 +53,11 @@ from .conv_calculus import (SpaceTimeGrid, _add_inverse, _spectral_rule,
                             volterra_hat)
 from .errors import (AllocationLimit, GridMismatch, HorizonExceeded,
                      QuadratureUnderresolved, TruncationTooSmall)
-from .levy_kernel import (DEFAULT_SPEC, ROW_CHUNK, KernelModel,
-                          QuadratureSpec, _fast_len,
-                          _fourier_rows, _squared_kernel_hat, _upsilon_tail,
-                          _xi_rule, bandlimited_rows, exterior_mass, frak_T,
-                          gamma_k, p0_eval, psi_eval, upsilon_eval)
+from .levy_kernel import (ROW_CHUNK, XI_TOL, KernelModel, _fast_len,
+                          _fourier_rows, _gauss_rule, _squared_kernel_hat,
+                          _upsilon_tail, _xi_rule, bandlimited_rows,
+                          exterior_mass, frak_T, gamma_k, p0_eval, psi_eval,
+                          upsilon_eval)
 from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
 from .noise_field import MAX_CELLS, NoiseLattice, noise_rows
 
@@ -268,8 +268,7 @@ def x_centers(nx: int, dx: float) -> np.ndarray:
 
 
 def check_truncation(model: KernelModel, u0: FiniteMeasure, t_end: float,
-                     half_width: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                     half_width: float) -> float:
     """Kernel mass leaving [-half_width, half_width] by t_end; raises
     TruncationTooSmall past TRUNCATION_TOL or when the data sticks out."""
     k = u0.data_radius
@@ -277,7 +276,7 @@ def check_truncation(model: KernelModel, u0: FiniteMeasure, t_end: float,
         raise TruncationTooSmall(
             f"lattice half-width {half_width:g} does not cover the initial "
             f"support radius {k:g}")
-    frac = exterior_mass(model, t_end, half_width - k, spec)
+    frac = exterior_mass(model, t_end, half_width - k)
     if frac > TRUNCATION_TOL:
         raise TruncationTooSmall(
             f"kernel mass {frac:.3e} outside the lattice at t={t_end:g} "
@@ -358,7 +357,7 @@ def _scheme_drift(lat) -> float:
     return max(worst, floor)
 
 
-def _det_rows(model, u0, dt, n_steps, x_nodes, half_width, spec, shift=0.0):
+def _det_rows(model, u0, dt, n_steps, x_nodes, half_width, shift=0.0):
     """Rows (p_{i dt + shift} * u0)(x_nodes), clamped at 0, for the steps
     i = 1..n_steps.
 
@@ -368,9 +367,9 @@ def _det_rows(model, u0, dt, n_steps, x_nodes, half_width, spec, shift=0.0):
     on its step number alone and a shorter run is the head of a longer one.
     """
     last = -(-n_steps // ROW_CHUNK) * ROW_CHUNK
-    t_hi = math.log(10.0 / spec.tol) / psi_eval(model, 1.0 / half_width)
+    t_hi = math.log(10.0 / XI_TOL) / psi_eval(model, 1.0 / half_width)
     rows = _fourier_rows(model, dt * np.arange(1, last + 1) + shift,
-                         x_nodes, spec, lambda xi: fourier_u0(u0, xi),
+                         x_nodes, lambda xi: fourier_u0(u0, xi),
                          u0.data_radius, span=(dt, max(dt, t_hi)))
     return np.maximum(rows[:n_steps], 0.0)  # quadrature dust below 0
 
@@ -415,8 +414,7 @@ class Lattice:
 
 
 def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
-                  dx: float, nx: int, n_steps: int, shifts=(0.0,),
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> Lattice:
+                  dx: float, nx: int, n_steps: int, shifts=(0.0,)) -> Lattice:
     """The Lattice of nx cells of width dx for the steps 1..n_steps
     (times i dt), with one start p_s * u0 per shift s.
 
@@ -424,14 +422,14 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
     check_truncation at the last step time.  The det rows come from
     _det_rows, so a shorter run shares its rows' bits with a longer one.
     """
-    if p0_eval(model, dt, spec) * dx > 0.5:
+    if p0_eval(model, dt) * dx > 0.5:
         warnings.warn(
             "refinement relation violated: p_dt(0) dx > 0.5; one-step "
             "variance amplification is no longer controlled", stacklevel=3)
     half = 0.5 * nx * dx
-    ext = check_truncation(model, u0, dt * n_steps, half, spec)
+    ext = check_truncation(model, u0, dt * n_steps, half)
     x_nodes = x_centers(nx, dx)
-    det = np.array([_det_rows(model, u0, dt, n_steps, x_nodes, half, spec, s)
+    det = np.array([_det_rows(model, u0, dt, n_steps, x_nodes, half, s)
                     for s in shifts])
     return Lattice(dt, dx, x_nodes, det, _propagators(model, dt, dx, nx), ext)
 
@@ -517,8 +515,7 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
 
 
 def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
-           noise: NoiseLattice, t_end: float, *,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> FieldLattice:
+           noise: NoiseLattice, t_end: float) -> FieldLattice:
     """March the mild recursion from the measure u0 to t_end on the noise
     lattice.
 
@@ -533,7 +530,7 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         raise AllocationLimit(
             f"field of {m} x {nx} cells exceeds the allocation budget")
 
-    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, n_steps=m, spec=spec)
+    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, n_steps=m)
     vals = np.empty((m, nx))
 
     def keep(j, u):
@@ -601,7 +598,7 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
     ext = check_truncation(model, u0, horizon, half)
     cur = np.zeros((nt, nx))  # stage 0
     if n > 0:
-        det = _det_rows(model, u0, dt, nt, x_nodes, half, DEFAULT_SPEC)
+        det = _det_rows(model, u0, dt, nt, x_nodes, half)
         srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                                  dt_average=dt)
         for _ in range(n):
@@ -630,7 +627,7 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes) -> np.ndarray:
     dt = float(t_nodes[0])
     dx = float(x_nodes[1] - x_nodes[0])
     det = _det_rows(model, u0, dt, nt, x_nodes,
-                    float(np.abs(x_nodes).max()) + 0.5 * dx, DEFAULT_SPEC)
+                    float(np.abs(x_nodes).max()) + 0.5 * dx)
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
     scale = lam * lam * dt * dx
@@ -873,7 +870,7 @@ def stability_bound(model: KernelModel, mass: float, eps: float,
         if eps * psi_eval(model, cutoff) < 40.0:
             raise QuadratureUnderresolved(
                 "tabulated exponent table too short for the stability bound")
-    nodes, weights = _xi_rule(cutoff, 0.0, DEFAULT_SPEC)
+    nodes, weights = _xi_rule(cutoff, 0.0)
     ps = psi_eval(model, nodes)
     core = weights @ (np.expm1(-eps * ps) ** 2 / (beta + 2.0 * ps))
     total = core + _upsilon_tail(model, beta, cutoff)
@@ -891,7 +888,6 @@ def _deterministic_distance_time(model: KernelModel, mass: float, eps: float,
     is the cross-check the tests run.
     """
     tau_max = math.sqrt(45.0 / beta)
-    from .levy_kernel import _gauss_rule
     z, w = _gauss_rule(64)
     total = 0.0
     n_panel = 24

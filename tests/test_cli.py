@@ -120,6 +120,18 @@ class TestKernelInfo:
         assert res.returncode == 0
         assert json.loads(res.stdout)["error"] == "divergent resolvent"
 
+    def test_kernel_subcommand_short_table_says_how_far_to_reach(self):
+        # theta's scan starts at t = 5e-5, where the cutoff needs
+        # psi = log(10 / XI_TOL) / 5e-5
+        res = run_cli("kernel", '{"kernel": {"kind": "tabulated", '
+                      '"xi": [0, 1, 2], "psi": [0, 1, 4]}}')
+        assert res.returncode == 1
+        err = [line for line in res.stderr.splitlines()
+               if line.startswith("levyheat:")]
+        assert err == ["levyheat: runtime error: tabulated exponent reaches "
+                       "only psi=4 (table ends at xi=2); t=5e-05 needs a "
+                       "table that reaches psi=506569"]
+
     def test_kernel_subcommand_rejects_garbage(self):
         res = run_cli("kernel", "{oops")
         assert res.returncode == 64

@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from levyheat import (
-    QuadratureSpec,
     brownian,
     delta,
     heat_convolve_rows,
@@ -163,13 +162,13 @@ def off_centre_measure():
                          support_radius=2.0)
 
 
-def per_time_rows(model, u0, ts, x, spec):
+def per_time_rows(model, u0, ts, x):
     """(p_t * u0)(x) with one xi rule per time and a complex phase matrix."""
     rows = []
     for t in ts:
-        cutoff = levy_kernel._cutoff_for(model, t, spec.tol)
+        cutoff = levy_kernel._cutoff_for(model, t, levy_kernel.XI_TOL)
         nodes, weights = levy_kernel._xi_rule(
-            cutoff, float(np.abs(x).max()) + u0.data_radius, spec)
+            cutoff, float(np.abs(x).max()) + u0.data_radius)
         damp = weights * np.exp(-t * levy_kernel.psi_eval(model, nodes))
         phase = np.exp(-1j * np.multiply.outer(x, nodes))
         rows.append((phase @ (damp * fourier_u0(u0, nodes))).real / math.pi)
@@ -180,7 +179,6 @@ class TestBatchedRows:
     # At the default tol each per-time rule drops ~1e-12 of its row past
     # its own cutoff, which a shared rule avoids for all but the smallest
     # time; a tight tol makes both sides exact to roundoff.
-    spec = QuadratureSpec(tol=1e-13)
     x = np.linspace(-4.0, 4.0, 257)
 
     @staticmethod
@@ -192,10 +190,11 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("model", [BM, stable(1.5)],
                              ids=["brownian", "stable"])
-    def test_rows_match_one_rule_per_time(self, model):
+    def test_rows_match_one_rule_per_time(self, set_constant, model):
+        set_constant("XI_TOL", 1e-13)
         ts, u0 = self.times(24), off_centre_measure()
-        want = per_time_rows(model, u0, ts, self.x, self.spec)
-        got = heat_convolve_rows(model, u0, ts, self.x, self.spec)
+        want = per_time_rows(model, u0, ts, self.x)
+        got = heat_convolve_rows(model, u0, ts, self.x)
         err = np.abs(got - want).max(axis=1)
         assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
 

@@ -112,14 +112,6 @@ def test_all_lists_each_imported_name_once():
     assert set(names) <= set(scope)
 
 
-# Functions above the quadrature layer that still take a QuadratureSpec:
-# tests drive each with a tighter rule than the default (tol=1e-13 or
-# nodes=4_000_000) and assert agreement that the default cannot meet.
-SPEC_TAKERS = {
-    "solver": {"check_truncation", "_det_rows", "build_lattice", "evolve"},
-}
-
-
 def module_functions(name):
     mod = importlib.import_module(f"levyheat.{name}")
     return {fname: obj for fname, obj in vars(mod).items()
@@ -128,14 +120,17 @@ def module_functions(name):
 
 def test_no_batch_thread_budget_or_stray_spec_parameters():
     # the seed chunk is solver.BATCH, the thread count LEVYHEAT_THREADS,
-    # the allocation budget noise_field.MAX_CELLS
-    knobs, spec = [], {}
-    for name in ("solver", "analysis", "conv_calculus", "noise_field"):
+    # the allocation budget noise_field.MAX_CELLS, the quadrature rule
+    # levy_kernel.XI_TOL and XI_NODES
+    knobs = []
+    for name in ("solver", "analysis", "conv_calculus", "noise_field",
+                 "levy_kernel", "measure_init"):
+        assert not hasattr(importlib.import_module(f"levyheat.{name}"),
+                           "QuadratureSpec")
         for fname, fn in module_functions(name).items():
             params = inspect.signature(fn).parameters
             knobs += [(name, fname, p) for p in ("batch", "threads",
-                                                 "max_cells") if p in params]
-            if "spec" in params:
-                spec.setdefault(name, set()).add(fname)
+                                                 "max_cells", "spec")
+                      if p in params]
     assert knobs == []
-    assert spec == SPEC_TAKERS
+    assert not hasattr(levyheat, "QuadratureSpec")

@@ -20,7 +20,6 @@ from numpy.testing import assert_allclose
 
 from levyheat import (
     DivergentResolvent,
-    QuadratureSpec,
     QuadratureUnderresolved,
     brownian,
     frak_T,
@@ -36,6 +35,7 @@ from levyheat import (
     theta_estimate,
     upsilon_eval,
 )
+from levyheat import levy_kernel
 from levyheat.levy_kernel import (_dct1, _fast_len, _gauss_rule, _xi_rule,
                                   bandlimited_rows, exterior_mass,
                                   interval_mass)
@@ -154,15 +154,11 @@ def test_theta_closed_forms():
     assert_allclose(theta_estimate(stable(2.0)), math.sqrt(2.0), atol=1e-9)
 
 
-def test_theta_grid_must_span_four_decades():
-    with pytest.raises(ValueError):
-        theta_estimate(brownian(), t_grid=np.logspace(0, 2, 30))
-
-
-def test_theta_tabulated_warns():
-    grid = np.logspace(-1, 3, 50)  # keeps t/2 within the table's psi range
+def test_theta_tabulated_warns(set_constant):
+    # keeps t/2 within the table's psi range
+    set_constant("THETA_T_GRID", np.logspace(-1, 3, 50))
     with pytest.warns(UserWarning):
-        got = theta_estimate(cauchy_model(), t_grid=grid)
+        got = theta_estimate(cauchy_model())
     assert_allclose(got, 2.0, atol=1e-6)  # Cauchy: p_t(0) = 1/(pi t)
 
 
@@ -278,19 +274,13 @@ def test_horizon_closed_form_and_monotone_in_k():
                     frak_T(brownian(), 2, 1.0, theta=math.sqrt(2.0)), rtol=1e-9)
 
 
-def test_quadrature_cutoff_too_small_raises():
-    spec = QuadratureSpec(cutoff_xi=3.0, tol=1e-10)
+def test_node_budget_enforced(set_constant):
+    set_constant("XI_NODES", 500)
     with pytest.raises(QuadratureUnderresolved):
-        p_eval(brownian(), 0.1, 0.0, spec)
+        p_eval_many(brownian(), 1e-4, np.linspace(-50, 50, 11))
 
 
-def test_node_budget_enforced():
-    spec = QuadratureSpec(nodes=500, tol=1e-10)
-    with pytest.raises(QuadratureUnderresolved):
-        p_eval_many(brownian(), 1e-4, np.linspace(-50, 50, 11), spec)
-
-
-def xi_rule_by_panel(cutoff, osc_scale, spec, n_geo=28):
+def xi_rule_by_panel(cutoff, osc_scale, n_geo=28):
     """The xi rule built one geometric panel at a time with np.linspace."""
     edges = [0.0] + [cutoff * 2.0 ** (-j) for j in range(n_geo, -1, -1)]
     z, w = _gauss_rule(48)
@@ -298,7 +288,7 @@ def xi_rule_by_panel(cutoff, osc_scale, spec, n_geo=28):
     for a, b in zip(edges[:-1], edges[1:]):
         m = max(1, int(math.ceil(osc_scale * (b - a) / 32.0)))
         total += m * z.size
-        if total > spec.nodes:
+        if total > levy_kernel.XI_NODES:
             raise QuadratureUnderresolved("over budget")
         sub = np.linspace(a, b, m + 1)
         half = 0.5 * (sub[1:] - sub[:-1])
@@ -309,30 +299,31 @@ def xi_rule_by_panel(cutoff, osc_scale, spec, n_geo=28):
 
 def test_xi_rule_matches_per_panel_linspace_bit_for_bit():
     rng = np.random.default_rng(7)
-    spec = QuadratureSpec()
     cases = [(1.0, 0.0, 28), (37.5, 12.0, 28), (4e3, 60.0, 40)]
     cases += [(10.0 ** rng.uniform(-1, 4), rng.choice([0.0, 1.0])
                * 10.0 ** rng.uniform(-2, 3), int(rng.integers(20, 45)))
               for _ in range(60)]
     for cutoff, osc, n_geo in cases:
         try:
-            want = xi_rule_by_panel(cutoff, osc, spec, n_geo)
+            want = xi_rule_by_panel(cutoff, osc, n_geo)
         except QuadratureUnderresolved:
             with pytest.raises(QuadratureUnderresolved, match="budget"):
-                _xi_rule(cutoff, osc, spec, n_geo)
+                _xi_rule(cutoff, osc, n_geo)
             continue
-        nodes, weights = _xi_rule(cutoff, osc, spec, n_geo)
+        nodes, weights = _xi_rule(cutoff, osc, n_geo)
         assert np.array_equal(nodes, want[0])
         assert np.array_equal(weights, want[1])
 
 
-def test_xi_rule_budget_is_the_total_node_count():
-    n = xi_rule_by_panel(100.0, 50.0, QuadratureSpec())[0].size
-    assert _xi_rule(100.0, 50.0, QuadratureSpec(nodes=n))[0].size == n
-    with pytest.raises(QuadratureUnderresolved, match=f"budget of {n - 1} "):
-        _xi_rule(100.0, 50.0, QuadratureSpec(nodes=n - 1))
+def test_xi_rule_budget_is_the_total_node_count(set_constant):
     with pytest.raises(QuadratureUnderresolved, match="budget"):
-        _xi_rule(1e6, 1e6, QuadratureSpec())
+        _xi_rule(1e6, 1e6)
+    n = xi_rule_by_panel(100.0, 50.0)[0].size
+    set_constant("XI_NODES", n)
+    assert _xi_rule(100.0, 50.0)[0].size == n
+    set_constant("XI_NODES", n - 1)
+    with pytest.raises(QuadratureUnderresolved, match=f"budget of {n - 1} "):
+        _xi_rule(100.0, 50.0)
 
 
 def test_model_validation():

@@ -16,7 +16,6 @@ from levyheat import (
     GridMismatch,
     HorizonExceeded,
     NoiseLattice,
-    QuadratureSpec,
     SpaceTimeGrid,
     brownian,
     delta,
@@ -185,19 +184,18 @@ class TestFieldLattice:
 
 
 class TestEvolve:
-    def test_sigma_zero_is_deterministic(self):
+    def test_sigma_zero_is_deterministic(self, set_constant):
         # tight tol, as in TestBatchedRows: at the default tol each side
         # is ~1.1e-12 of its row max off the closed form
-        spec = QuadratureSpec(tol=1e-13)
+        set_constant("XI_TOL", 1e-13)
         noise = sample_noise(0.01, 0.125, 20, 64, seed=3)
-        fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2, spec=spec)
-        lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64,
-                            n_steps=20, spec=spec)
+        fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2)
+        lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64, n_steps=20)
         assert np.array_equal(fld.grid.values, lat.det[0])
         # the lattice's one rule against one rule per time
         xs = fld.grid.x_nodes
         for row, t in zip(fld.grid.values, fld.grid.t_nodes):
-            ref = np.maximum(heat_convolve_many(BM, U0, t, xs, spec), 0.0)
+            ref = np.maximum(heat_convolve_many(BM, U0, t, xs), 0.0)
             assert np.abs(row - ref).max() <= 1e-12 * ref.max()
         assert positivity_scan(fld) == (0.0, 0)
 
@@ -239,25 +237,27 @@ class TestEvolve:
         # the centre of a wide window instead
         (stable(1.5), 1000.0, np.linspace(-4.0, 4.0, 17)),
     ], ids=["brownian", "stable"])
-    def test_rows_match_per_time_rule_across_the_window(self, model, half,
-                                                        xs):
+    def test_rows_match_per_time_rule_across_the_window(self, set_constant,
+                                                        model, half, xs):
         # the largest time check_truncation admits, by bisection
-        wide = QuadratureSpec(nodes=4_000_000)
+        nodes = levy_kernel.XI_NODES
+        set_constant("XI_NODES", 4_000_000)
         lo, hi = 1e-4, 3.0
         for _ in range(20):
             mid = math.sqrt(lo * hi)
             try:
-                check_truncation(model, U0, mid, half, wide)
+                check_truncation(model, U0, mid, half)
                 lo = mid
             except TruncationTooSmall:
                 hi = mid
         # tight tol on both sides, as in TestBatchedRows: at the default
         # tol a per-time rule drops ~1e-12 of its row past its cutoff
-        spec = QuadratureSpec(tol=1e-13)
+        set_constant("XI_NODES", nodes)
+        set_constant("XI_TOL", 1e-13)
         dt = lo / 64
-        rows = _det_rows(model, U0, dt, 64, xs, half, spec)[[0, 63]]
+        rows = _det_rows(model, U0, dt, 64, xs, half)[[0, 63]]
         for row, t in zip(rows, [dt, 64 * dt]):
-            ref = np.maximum(heat_convolve_many(model, U0, t, xs, spec), 0.0)
+            ref = np.maximum(heat_convolve_many(model, U0, t, xs), 0.0)
             assert np.abs(row - ref).max() <= 1e-12 * ref.max()
 
     def test_mass_doubling_bit_exact(self):
