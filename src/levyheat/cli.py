@@ -17,8 +17,8 @@ Every output is deterministic for a fixed (config, package version): seeds
 are explicit in the config, ensemble reductions are in fixed chunk order,
 floats are written with shortest round-trip repr, and the manifest carries
 no timestamps.  All file writes happen sequentially in the main thread;
-only the replica marches inside the solver fan out to worker threads
-(capped by LEVYHEAT_THREADS).
+only the replica marches inside the solver fan out, over the main thread
+and helper threads (LEVYHEAT_THREADS in all, the main thread included).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import BoundVerdict, check_exist_unique_bound
-from .errors import ConfigInvalid, DivergentResolvent, LevyHeatError
+from .errors import (ConfigInvalid, DivergentResolvent, LevyHeatError,
+                     QuadratureUnderresolved)
 from .levy_kernel import (KernelModel, _unique, brownian, frak_T, g_eval,
                           gamma_k, stable, tabulated, theta_estimate,
                           upsilon_eval)
@@ -416,9 +417,8 @@ def kernel_info(kernel_doc: dict, beta_list=(1.0,), k_list=(2.0,),
                 a_list=(1.0,), lip: float = 1.0) -> dict:
     """Scalar functionals of one kernel, shaped for JSON output.
 
-    A divergent resolvent (stable exponent alpha <= 1, or a tabulated
-    exponent whose tail grows too slowly) is reported as an "error" field
-    rather than raised.
+    A divergent resolvent (alpha <= 1, or a slow tabulated tail) or a table
+    too short for the xi rule is reported as an "error" field, not raised.
     """
     try:
         model = build_kernel(kernel_doc)
@@ -434,6 +434,8 @@ def kernel_info(kernel_doc: dict, beta_list=(1.0,), k_list=(2.0,),
         }
     except DivergentResolvent as exc:
         return {"error": "divergent resolvent", "detail": _one_line(exc)}
+    except QuadratureUnderresolved as exc:
+        return {"error": "quadrature underresolved", "detail": _one_line(exc)}
 
 
 def _kernel_cmd(json_text: str) -> int:

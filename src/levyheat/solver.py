@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -473,13 +474,34 @@ def _worker_count() -> int:
 
 
 def _thread_map(fn, chunks, workers):
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # only a fan-out needs it
+    """[fn(c) for c in chunks] on the calling thread and min(workers,
+    len(chunks)) - 1 helper threads, which take chunk indices from one
+    counter.  Once a chunk raises, none starts; the first error is raised."""
+    out, errors, lock = [None] * len(chunks), [], threading.Lock()
+    todo = iter(range(len(chunks)))
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, c) for c in chunks]
-        return [f.result() for f in futures]  # chunk order, not finish order
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(chunks[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append(exc)
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(workers, len(chunks)) - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        work()
+    finally:
+        for h in helpers:
+            h.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def seed_ids(seeds) -> list[int]:
@@ -495,7 +517,7 @@ def seed_ids(seeds) -> list[int]:
 
 def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     """march() every seed, BATCH seeds per chunk, the chunks over
-    _worker_count() threads.
+    _worker_count() threads, the calling thread among them.
 
     observe(first, j, u) is march's observer, also told the position
     in seeds of the chunk's first seed.  Chunks run concurrently, so it

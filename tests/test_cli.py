@@ -125,12 +125,11 @@ class TestKernelInfo:
         # psi = log(10 / XI_TOL) / 5e-5
         res = run_cli("kernel", '{"kernel": {"kind": "tabulated", '
                       '"xi": [0, 1, 2], "psi": [0, 1, 4]}}')
-        assert res.returncode == 1
-        err = [line for line in res.stderr.splitlines()
-               if line.startswith("levyheat:")]
-        assert err == ["levyheat: runtime error: tabulated exponent reaches "
-                       "only psi=4 (table ends at xi=2); t=5e-05 needs a "
-                       "table that reaches psi=506569"]
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {
+            "error": "quadrature underresolved",
+            "detail": "tabulated exponent reaches only psi=4 (table ends at "
+                      "xi=2); t=5e-05 needs a table that reaches psi=506569"}
 
     def test_kernel_subcommand_rejects_garbage(self):
         res = run_cli("kernel", "{oops")

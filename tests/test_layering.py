@@ -70,33 +70,43 @@ def test_import_leaves_scipy_signal_out():
 # Loaded by `import levyheat`: every layer module, which a tracer may look
 # up in sys.modules right after the import.  Not loaded, before or after a
 # continuum oracle call on delta data: importlib.metadata (which brings
-# email), the config validator, the manifest writer's hashlib, numpy.ma
-# (which np.unique imports) and the thread pool of a multi-chunk ensemble.
+# email), the config validator, hashlib (which the manifest writer uses and
+# numpy.random loads for any ensemble) and numpy.ma (which np.unique
+# imports).  concurrent.futures loads nowhere: a multi-chunk ensemble
+# marches on the calling thread and plain helper threads.
 LAYERS = ("cli", "analysis", "solver", "conv_calculus", "levy_kernel",
           "measure_init", "noise_field")
 DEFERRED = ("importlib.metadata", "email", "levyheat.schema", "hashlib",
-            "numpy.ma", "concurrent.futures")
+            "numpy.ma", "concurrent")
 
 
 def test_start_up_module_set():
     code = f"""
 import json, sys, levyheat
-def loaded():
+def loaded(names={DEFERRED!r}):
     return {{"layers": [n for n in {LAYERS!r}
                        if "levyheat." + n not in sys.modules],
-            "deferred": sorted(m for m in sys.modules for d in {DEFERRED!r}
+            "deferred": sorted(m for m in sys.modules for d in names
                                if m == d or m.startswith(d + "."))}}
 after_import = loaded()
 levyheat.pam_second_moment_oracle(
     levyheat.brownian(1.0), levyheat.delta(), 1.0, [0.1, 0.3],
     [-1.0, 0.0, 1.0], mode="continuum")
-print(json.dumps([after_import, loaded()]))
+after_oracle = loaded()
+levyheat.mc_moments(
+    levyheat.brownian(1.0), levyheat.delta(), levyheat.sigma_linear(1.0),
+    dt=0.02, nx=64, half_width=4.0, t_end=0.1,
+    seeds=2 * levyheat.solver.BATCH, t_probes=[0.1], x_probes=[0.0])
+print(json.dumps([after_import, after_oracle, loaded(("concurrent",))]))
 """
-    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+    env = dict(package_env(), LEVYHEAT_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    after_import, after_oracle = json.loads(out.stdout)
+    after_import, after_oracle, after_ensemble = json.loads(out.stdout)
     assert after_import == {"layers": [], "deferred": []}
     assert after_oracle["deferred"] == []
+    # two chunks over two threads, and still no thread pool
+    assert after_ensemble["deferred"] == []
 
 
 def test_all_lists_each_imported_name_once():

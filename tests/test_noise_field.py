@@ -149,6 +149,22 @@ class TestQuantile:
             tracemalloc.stop()
         assert peak < 1.3 * lat.increments.nbytes
 
+    def test_stream_scratch_is_half_a_refill(self):
+        # one chunk's stream at the bundled nx: its 61,440-cell refill
+        # (0.47 MiB) is converted through a 32,768-cell scratch (1 MiB).
+        # Warm, it peaks at 1.58 MiB, and at 2.55 MiB with a refill-sized
+        # scratch; the first draw in a process traces 0.7 MiB more.
+        for _ in noise_rows(0.01, 1 / 16, 8, range(2), 1, 3):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in noise_rows(0.01, 1 / 16, 256, range(BATCH), 1, 50):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 2 ** 20
+
 
 class TestLimitsAndIO:
     def test_extreme_raw_words_are_finite(self):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -43,8 +45,8 @@ from levyheat.noise_field import noise_rows
 from levyheat.solver import (BATCH, FFT_MIN_NX, _det_rows,
                              _deterministic_distance_time,
                              _flat_second_moment, _propagators,
-                             _toeplitz, build_lattice, check_truncation, march,
-                             march_seeds, x_centers)
+                             _thread_map, _toeplitz, build_lattice,
+                             check_truncation, march, march_seeds, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -611,6 +613,101 @@ class TestMcMoments:
             ref = fld.grid.values[-1]
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(tab.snapshots[s, 1] - ref)) < 1e-9 * scale
+
+
+class TestThreadMap:
+    """solver._thread_map: the calling thread and helper threads take chunk
+    indices from one counter, and results come back in chunk order."""
+
+    def test_chunk_order_when_chunks_finish_out_of_order(self):
+        # chunk 0 ends only after another thread has run chunk 1, so both
+        # threads of two run a chunk, the calling one among them
+        one_done, finished, threads = threading.Event(), [], set()
+
+        def fn(c):
+            threads.add(threading.get_ident())
+            if c == 0:
+                assert one_done.wait(10)
+            finished.append(c)
+            if c == 1:
+                one_done.set()
+            return c * c
+
+        assert _thread_map(fn, range(6), 2) == [c * c for c in range(6)]
+        assert finished.index(1) < finished.index(0)
+        assert threading.get_ident() in threads and len(threads) == 2
+
+    @pytest.mark.parametrize("workers, chunks", [(3, 9), (8, 2)])
+    def test_at_most_workers_threads(self, workers, chunks):
+        base, live, threads = threading.active_count(), [], set()
+
+        def fn(c):
+            threads.add(threading.get_ident())
+            live.append(threading.active_count())
+            time.sleep(0.01)
+            return c
+
+        assert _thread_map(fn, range(chunks), workers) == list(range(chunks))
+        assert len(threads) <= min(workers, chunks)
+        assert max(live) - base <= min(workers, chunks) - 1
+        assert threading.active_count() <= base  # every helper joined
+
+    def test_each_chunk_runs_once_under_fast_switching(self):
+        # more threads than cores, switching every microsecond: a lost or
+        # repeated counter update would skip or repeat a chunk
+        ran, interval = [], sys.getswitchinterval()
+
+        def fn(c):
+            ran.append(c)
+            return -c
+
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _thread_map(fn, range(400), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-c for c in range(400)]
+        assert sorted(ran) == list(range(400))
+
+    def test_first_error_propagates_and_no_chunk_starts_after(self):
+        # chunk 0 raises while chunk 1 runs on the other thread; chunk 1
+        # raises later, after chunk 0's error is recorded
+        one_started, raising = threading.Event(), threading.Event()
+        started = []
+
+        def fn(c):
+            started.append(c)
+            if c == 0:
+                assert one_started.wait(10)
+                raising.set()
+                raise ValueError("chunk 0")
+            if c == 1:
+                one_started.set()
+                assert raising.wait(10)
+                time.sleep(0.2)
+                raise RuntimeError("chunk 1")
+            return c
+
+        with pytest.raises(ValueError, match="chunk 0"):
+            _thread_map(fn, range(20), 2)
+        assert sorted(started) == [0, 1]
+
+    def test_one_worker_runs_inline(self):
+        base, threads, started = threading.active_count(), set(), []
+
+        def fn(c):
+            threads.add(threading.get_ident())
+            started.append(c)
+            assert threading.active_count() <= base
+            if c == 2:
+                raise ValueError("chunk 2")
+            return c
+
+        assert _thread_map(fn, range(2), 1) == [0, 1]
+        with pytest.raises(ValueError, match="chunk 2"):
+            _thread_map(fn, range(5), 1)
+        assert started == [0, 1, 0, 1, 2]
+        assert threads == {threading.get_ident()}
 
 
 class TestStability:
