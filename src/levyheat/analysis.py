@@ -205,12 +205,13 @@ def check_exist_unique_bound(moments: MomentTable, model: KernelModel,
 # ---------------------------------------------------------------------------
 
 def _scan_grid(u0, scale: float, max_points: int = 20001) -> np.ndarray:
-    """Symmetric odd grid resolving the kernel scale around the support:
-    12 scales past the data radius, 60 points per scale."""
+    """Odd grid resolving the kernel scale around the support, 12 scales
+    past the data radius, 60 points per scale; its right half mirrors the
+    left exactly, so the Fourier rows on it transform half the points."""
     window = u0.data_radius + 12.0 * scale
     n = int(math.ceil(2.0 * window * 60.0 / scale)) + 1
-    n = min(n | 1, max_points)
-    return np.linspace(-window, window, n)
+    left = np.linspace(-window, 0.0, min(n | 1, max_points) // 2 + 1)
+    return np.concatenate([left, -left[-2::-1]])
 
 
 def small_t_scan(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,

@@ -201,7 +201,9 @@ def _fourier_rows(model: KernelModel, ts, xs, u_hat=None,
     With D = damp * weights * u_hat the rows are Re(D) cos(xi x) +
     Im(D) sin(xi x) in real arithmetic (no sin product when u_hat is
     real), blocked over x so each phase array stays ~8 MB, one GEMM per
-    ROW_CHUNK rows.
+    ROW_CHUNK rows.  On a grid with xs == -xs[::-1] (every lattice of
+    power-of-two dx) only the first half of xs is transformed: cos is even
+    and sin odd in x, so the row at -x is the cos part minus the sin part.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -219,17 +221,27 @@ def _fourier_rows(model: KernelModel, ts, xs, u_hat=None,
     uh = 1.0 if u_hat is None else u_hat(nodes)
     d_sin = d * uh.imag if np.any(np.imag(uh)) else None
     d = d * np.real(uh)
-    out = np.empty((ts.size, xs.size))
+    n = xs.size
+    half = (n + 1) // 2 if np.array_equal(xs, -xs[::-1]) else n
+    out = np.empty((ts.size, n))
+    odd = None if d_sin is None else np.empty((ts.size, half))
     block = max(1, 1_000_000 // nodes.size)
-    for i in range(0, xs.size, block):
-        arg = np.multiply.outer(nodes, xs[i:i + block])
+    for i in range(0, half, block):
+        cols = slice(i, min(i + block, half))
+        arg = np.multiply.outer(nodes, xs[cols])
         sin = None if d_sin is None else np.sin(arg)
         cos = np.cos(arg, out=arg)
         for r in range(0, ts.size, ROW_CHUNK):
             rows = slice(r, r + ROW_CHUNK)
-            out[rows, i:i + block] = d[rows] @ cos
+            out[rows, cols] = d[rows] @ cos
             if sin is not None:
-                out[rows, i:i + block] += d_sin[rows] @ sin
+                odd[rows, cols] = d_sin[rows] @ sin
+    if half < n:
+        even = out[:, :n - half]
+        out[:, half:] = (even if odd is None else even - odd[:, :n - half]
+                         )[:, ::-1]
+    if odd is not None:
+        out[:, :half] += odd
     return out / math.pi
 
 

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
-import threading
+import pickle
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -78,9 +79,11 @@ EPS_GROWTH = 0.5
 TRUNCATION_TOL = 1e-8
 
 # Lattices of at least this many cells apply P and K0 through circulant
-# FFTs instead of dense matrices.  It is the measured crossover of one
-# march step of 24 seeds on one BLAS thread (2-core x86-64 Xeon): dense
-# 0.21 ms vs FFT 0.25 ms at 256 cells, 0.53 vs 0.47 ms at 384.
+# FFTs instead of the folded dense blocks.  It is the measured crossover
+# of one march step of 24 seeds on one BLAS thread (2-core x86-64 Xeon,
+# best of 7 x 200 steps, three rounds): folded dense 0.07-0.09 ms vs FFT
+# 0.12-0.14 ms at 256 cells, 0.20-0.22 vs 0.19-0.20 ms at 384, 0.34-0.36
+# vs 0.24-0.26 ms at 512 and 0.73-0.78 vs 0.39-0.45 ms at 768.
 FFT_MIN_NX = 384
 
 # Seeds per march chunk.  mc_moments sums its power sums chunk by chunk in
@@ -305,6 +308,17 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     return r[np.abs(lag[:, None] - lag)]
 
 
+def _fold(mat: np.ndarray, n: int, h: int, sign: float) -> np.ndarray:
+    """The n x n block of the centrosymmetric mat (J mat J = mat, J the
+    reversal) that acts on folded rows: its first h rows become
+    (mat[i] + sign mat[-1-i]) / 2.  sign +1 gives the even block
+    (n = nx - h, so the centre row of odd nx stays as it is), -1 the odd
+    block (n = h)."""
+    out = mat[:n, :n].copy()
+    out[:h] = 0.5 * (out[:h] + sign * mat[::-1, :n][:h])
+    return out
+
+
 def _propagators(model, dt, dx, nx):
     """The one-step apply step(v, shot) = v P + shot K0, or v P alone
     when shot is None, for row batches v and shot of shape (..., nx).
@@ -313,21 +327,46 @@ def _propagators(model, dt, dx, nx):
     cell-averaged lag-0 row, i.e. the within-step weight
     (1/dt) int_0^dt p_r((a-b) dx) dr, band-limited.  Both are symmetric
     Toeplitz, and band-limiting makes P an exact lattice semigroup.
-    Below FFT_MIN_NX cells they are dense matrices (BLAS products); from
-    FFT_MIN_NX on only the numpy.fft rfft spectra of their circulant
-    embeddings, of length _fast_len(2 nx), are kept, no nx x nx array is
-    built, and a step is one rfft per operand and one irfft.  The two
-    agree to a few units of roundoff of the row max.
+
+    Below FFT_MIN_NX cells a step folds each row x into its even part
+    x[i] + x[nx-1-i] (the centre cell of odd nx as it is) and its odd
+    part x[i] - x[nx-1-i], i < nx // 2.  Symmetric Toeplitz matrices are
+    centrosymmetric, so each part maps onto itself through a half-size
+    block (_fold): one BLAS product per part against the stacked [P; K0]
+    blocks, then an unfold, at half the flops of v P + shot K0 (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976).  From FFT_MIN_NX on only the
+    numpy.fft rfft spectra of the circulant embeddings, of length
+    _fast_len(2 nx), are kept, no nx x nx array is built, and a step is
+    one rfft per operand and one irfft.  Both agree with the dense
+    products to a few units of roundoff of the row max.
     """
     rows = bandlimited_rows(model, dx, nx, [0.0, dt], dt_average=None)
     avg0 = bandlimited_rows(model, dx, nx, [0.0], dt_average=dt)[0]
     if nx < FFT_MIN_NX:
-        p = dx * _toeplitz(rows[1])
-        k0 = _toeplitz(avg0)
+        h = nx // 2
+        m = nx - h
+        mats = (dx * _toeplitz(rows[1]), _toeplitz(avg0))
+        even = np.concatenate([_fold(a, m, h, 1.0) for a in mats])
+        odd = np.concatenate([_fold(a, h, h, -1.0) for a in mats])
 
         def step(v, shot=None):
-            out = v @ p
-            return out if shot is None else out + shot @ k0
+            ops = (v,) if shot is None else (v, shot)
+            e = np.empty(v.shape[:-1] + (len(ops) * m,))
+            o = np.empty(v.shape[:-1] + (len(ops) * h,))
+            for k, x in enumerate(ops):
+                back = x[..., ::-1][..., :h]
+                np.add(x[..., :h], back, out=e[..., k * m:k * m + h])
+                if m > h:
+                    e[..., k * m + h] = x[..., h]
+                np.subtract(x[..., :h], back, out=o[..., k * h:(k + 1) * h])
+            s = e @ even[:len(ops) * m]
+            a = o @ odd[:len(ops) * h]
+            out = np.empty(v.shape)
+            np.add(s[..., :h], a, out=out[..., :h])
+            if m > h:
+                out[..., h] = s[..., h]
+            np.subtract(s[..., :h], a, out=out[..., ::-1][..., :h])
+            return out
         return step
 
     n = _fast_len(2 * nx)
@@ -462,46 +501,104 @@ def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *,
 
 
 def _worker_count() -> int:
-    """LEVYHEAT_THREADS if set, else min(8, CPUs)."""
+    """Processes for the seed chunks, the caller included: LEVYHEAT_THREADS
+    if set, else min(8, CPUs this process may run on); 1 without os.fork."""
     env = os.environ.get("LEVYHEAT_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = max(1, int(env))
         except ValueError:
             raise ValueError("LEVYHEAT_THREADS must be an integer, not "
                              f"{env!r}") from None
-    return min(8, os.cpu_count() or 1)
+    elif hasattr(os, "sched_getaffinity"):
+        count = min(8, len(os.sched_getaffinity(0)))
+    else:
+        count = min(8, os.cpu_count() or 1)
+    return count if hasattr(os, "fork") else 1
 
 
-def _thread_map(fn, chunks, workers):
-    """[fn(c) for c in chunks] on the calling thread and min(workers,
-    len(chunks)) - 1 helper threads, which take chunk indices from one
-    counter.  Once a chunk raises, none starts; the first error is raised."""
-    out, errors, lock = [None] * len(chunks), [], threading.Lock()
-    todo = iter(range(len(chunks)))
+def _shared_zeros(shape: tuple) -> np.ndarray:
+    """A float64 zeros array in anonymous shared memory: what a forked
+    _fork_map worker writes there, its caller reads."""
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * n or 1), float,
+                         count=n).reshape(shape)
 
-    def work():
-        while True:
-            with lock:
-                i = None if errors else next(todo, None)
-            if i is None:
-                return
-            try:
-                out[i] = fn(chunks[i])
-            except BaseException as exc:  # re-raised on the calling thread
-                errors.append(exc)
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(workers, len(chunks)) - 1)]
-    for h in helpers:
-        h.start()
+
+# Bytes for the pickled error of one _fork_map worker.
+_ERROR_ROOM = 1 << 14
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """exc pickled in at most _ERROR_ROOM bytes, or a RuntimeError with its
+    type and message when exc does not pickle, unpickle or fit."""
     try:
-        work()
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        if len(data) <= _ERROR_ROOM:
+            return data
+    except Exception:
+        pass
+    return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"[:1000]))
+
+
+def _fork_map(fn, chunks, workers) -> None:
+    """fn(c) for every c in chunks, chunk i in worker i mod w of
+    w = min(workers, len(chunks)); worker 0 is the caller and the others
+    are forked children, so each has its own interpreter lock.
+
+    A child shares with its caller only what lives in anonymous shared
+    memory (_shared_zeros), so fn reports through such arrays; what it
+    returns is dropped.  A child leaves only through os._exit.  Once a
+    chunk raises, it sets the shared stop flag and no worker starts
+    another chunk.  Every child is reaped before the map returns or
+    raises; then the caller's own error is raised, else the first failed
+    child's, unpickled with its type and message.
+    """
+    w = min(workers, len(chunks))
+    room = 8 + _ERROR_ROOM  # per worker: the error's length, then its bytes
+    box = mmap.mmap(-1, 1 + w * room)  # byte 0 is the stop flag
+
+    def run(r):
+        for i in range(r, len(chunks), w):
+            if box[0]:
+                return
+            fn(chunks[i])
+
+    pids = []
+    try:
+        for r in range(1, w):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    run(r)
+                    code = 0
+                except BaseException as exc:
+                    box[0] = 1
+                    data = _pickled_error(exc)
+                    at = 1 + r * room
+                    box[at + 8:at + 8 + len(data)] = data
+                    box[at:at + 8] = len(data).to_bytes(8, "little")
+                finally:
+                    os._exit(code)
+            pids.append((r, pid))
+        run(0)
+    except BaseException:
+        box[0] = 1
+        raise
     finally:
-        for h in helpers:
-            h.join()
-    if errors:
-        raise errors[0]
-    return out
+        failed = [r for r, pid in pids if os.waitpid(pid, 0)[1]]
+    for r in failed:
+        at = 1 + r * room
+        size = int.from_bytes(box[at:at + 8], "little")
+        if size:
+            raise pickle.loads(box[at + 8:at + 8 + size])
+        raise RuntimeError(f"seed-chunk worker {r} ended without a report")
+
+
+# perfbench/spans.py wraps the chunk map under its earlier name
+_thread_map = _fork_map
 
 
 def seed_ids(seeds) -> list[int]:
@@ -517,13 +614,15 @@ def seed_ids(seeds) -> list[int]:
 
 def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     """march() every seed, BATCH seeds per chunk, the chunks over
-    _worker_count() threads, the calling thread among them.
+    _worker_count() processes, the caller among them (_fork_map).
 
     observe(first, j, u) is march's observer, also told the position
-    in seeds of the chunk's first seed.  Chunks run concurrently, so it
-    may write only to slots of its own chunk.  A chunk streams its noise
-    step by step from noise_rows, so its memory is O(BATCH nx) whatever
-    the number of steps, and its draws are bit-exact with sample_noise.
+    in seeds of the chunk's first seed.  Chunks run concurrently in
+    forked workers, so it may write only to its own chunk's slots of
+    arrays from _shared_zeros: no other write reaches the caller.  A
+    chunk streams its noise step by step from noise_rows, so its memory
+    is O(BATCH nx) whatever the number of steps, and its draws are
+    bit-exact with sample_noise.
     """
     seeds = list(seeds)
     steps, nx = lat.det.shape[1:]
@@ -533,7 +632,7 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
         march(lat, sigma, noise_rows(lat.dt, lat.dx, nx, part, 1, steps),
               functools.partial(observe, first), b=len(part))
 
-    _thread_map(chunk, range(0, len(seeds), BATCH), _worker_count())
+    _fork_map(chunk, range(0, len(seeds), BATCH), _worker_count())
 
 
 def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
@@ -760,7 +859,7 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     x probes snap to the nearest cell center and the snapped coordinate is
     what lands in the table.  Replicas run in parallel over seed chunks;
     the reduction is in fixed chunk order, so results do not depend on
-    the thread count.  snapshot_times also keeps every path's whole row
+    the worker count.  snapshot_times also keeps every path's whole row
     at those times, from the same march (table.snapshots); the march then
     runs to the later of t_end and the last snapshot time.  t_probes,
     x_probes and ks may be empty, for a march that only keeps snapshots.
@@ -787,8 +886,8 @@ def mc_moments(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
     snap_at = step_slots(snap_idx)
     # power sums of |u|^k and |u|^2k, one slot per seed chunk, summed in
     # chunk order below
-    sums = np.zeros((-(-len(seeds) // BATCH), 2, n_pt, n_px, n_k))
-    snaps = np.empty((len(seeds), len(snap_idx), nx))
+    sums = _shared_zeros((-(-len(seeds) // BATCH), 2, n_pt, n_px, n_k))
+    snaps = _shared_zeros((len(seeds), len(snap_idx), nx))
 
     def collect(first, j, u):
         for slot in snap_at.get(j, ()):
@@ -965,8 +1064,8 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
     lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
                         n_steps=steps, shifts=[0.0] + eps_arr)
     decay = np.exp(-beta * times)
-    dist = np.zeros((len(eps_arr), len(seed_list)))
-    last = np.zeros_like(dist)
+    dist = _shared_zeros((len(eps_arr), len(seed_list)))
+    last = _shared_zeros(dist.shape)
 
     def accumulate(first, j, u):
         sq = ((u[:, :1] - u[:, 1:]) ** 2).sum(axis=2).T

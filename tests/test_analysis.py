@@ -13,6 +13,7 @@ from levyheat import (NOT_APPLICABLE, BoundVerdict, FieldLattice,
                       pam_second_moment_oracle, sample_noise, sigma_linear,
                       sigma_saturating, small_t_scan, tabulated,
                       tail_decay_fit)
+from levyheat.analysis import _scan_grid
 from levyheat.errors import InsufficientRange
 
 BM = brownian(1.0)
@@ -181,6 +182,18 @@ class TestExistUniqueBound:
 
 
 class TestSmallTScan:
+
+    @pytest.mark.parametrize("cap", [20001, 1001])
+    def test_scan_grid_is_mirror_symmetric(self, cap):
+        # the uniform odd grid over 12 scales each way, its right half
+        # the exact mirror of its left
+        xs = _scan_grid(U0, 0.1, max_points=cap)
+        window = 1.2
+        assert np.array_equal(xs, -xs[::-1]) and xs.size % 2 == 1
+        assert xs[xs.size // 2] == 0.0 and xs.size <= cap
+        assert_allclose(xs, np.linspace(-window, window, xs.size),
+                        rtol=0.0, atol=1e-15 * window)
+        assert xs.size == min(cap, 1443)
 
     def test_sigma_zero_baseline_exact(self):
         ts = 2.0 ** -np.arange(4, 11)

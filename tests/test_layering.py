@@ -42,10 +42,10 @@ def test_no_private_imports_from_solver_or_analysis():
 
 def test_checker_sees_private_imports(tmp_path):
     src = tmp_path / "mod.py"
-    src.write_text("from .solver import _thread_map, mc_moments\n"
+    src.write_text("from .solver import _fork_map, mc_moments\n"
                    "def f():\n"
                    "    from levyheat.analysis import _scan_grid\n")
-    assert private_imports(src) == [(1, "solver", "_thread_map"),
+    assert private_imports(src) == [(1, "solver", "_fork_map"),
                                     (3, "analysis", "_scan_grid")]
 
 
@@ -72,12 +72,13 @@ def test_import_leaves_scipy_signal_out():
 # continuum oracle call on delta data: importlib.metadata (which brings
 # email), the config validator, hashlib (which the manifest writer uses and
 # numpy.random loads for any ensemble) and numpy.ma (which np.unique
-# imports).  concurrent.futures loads nowhere: a multi-chunk ensemble
-# marches on the calling thread and plain helper threads.
+# imports).  Neither concurrent nor multiprocessing loads anywhere: a
+# multi-chunk ensemble marches in the calling process and workers it
+# forks with os.fork, which write into anonymous mmaps.
 LAYERS = ("cli", "analysis", "solver", "conv_calculus", "levy_kernel",
           "measure_init", "noise_field")
 DEFERRED = ("importlib.metadata", "email", "levyheat.schema", "hashlib",
-            "numpy.ma", "concurrent")
+            "numpy.ma", "concurrent", "multiprocessing")
 
 
 def test_start_up_module_set():
@@ -97,7 +98,8 @@ levyheat.mc_moments(
     levyheat.brownian(1.0), levyheat.delta(), levyheat.sigma_linear(1.0),
     dt=0.02, nx=64, half_width=4.0, t_end=0.1,
     seeds=2 * levyheat.solver.BATCH, t_probes=[0.1], x_probes=[0.0])
-print(json.dumps([after_import, after_oracle, loaded(("concurrent",))]))
+print(json.dumps([after_import, after_oracle,
+                  loaded(("concurrent", "multiprocessing"))]))
 """
     env = dict(package_env(), LEVYHEAT_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -105,7 +107,7 @@ print(json.dumps([after_import, after_oracle, loaded(("concurrent",))]))
     after_import, after_oracle, after_ensemble = json.loads(out.stdout)
     assert after_import == {"layers": [], "deferred": []}
     assert after_oracle["deferred"] == []
-    # two chunks over two threads, and still no thread pool
+    # two chunks over two processes, and still no pool
     assert after_ensemble["deferred"] == []
 
 
@@ -129,7 +131,7 @@ def module_functions(name):
 
 
 def test_no_batch_thread_budget_or_stray_spec_parameters():
-    # the seed chunk is solver.BATCH, the thread count LEVYHEAT_THREADS,
+    # the seed chunk is solver.BATCH, the worker count LEVYHEAT_THREADS,
     # the allocation budget noise_field.MAX_CELLS, the quadrature rule
     # levy_kernel.XI_TOL and XI_NODES
     knobs = []

@@ -12,6 +12,7 @@ Every frozen constant below is a hand-derived closed form for the Brownian
     g(a)            = pi a^2 / 2                          (Brownian, kappa=1)
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,9 +37,10 @@ from levyheat import (
     upsilon_eval,
 )
 from levyheat import levy_kernel
-from levyheat.levy_kernel import (_dct1, _fast_len, _gauss_rule, _xi_rule,
-                                  bandlimited_rows, exterior_mass,
-                                  interval_mass)
+from levyheat.levy_kernel import (_dct1, _fast_len, _fourier_rows,
+                                  _gauss_rule, _xi_rule, bandlimited_rows,
+                                  exterior_mass, interval_mass)
+from levyheat.measure_init import delta, fourier_u0
 
 P_1_0 = 0.3989422804014327      # (2 pi)^{-1/2}
 P_1_1 = 0.24197072451914337     # (2 pi)^{-1/2} exp(-1/2)
@@ -324,6 +326,35 @@ def test_xi_rule_budget_is_the_total_node_count(set_constant):
     set_constant("XI_NODES", n - 1)
     with pytest.raises(QuadratureUnderresolved, match=f"budget of {n - 1} "):
         _xi_rule(100.0, 50.0)
+
+
+@pytest.mark.parametrize("at", [0.0, 0.3], ids=["even", "off-centre"])
+@pytest.mark.parametrize("nx, dx, ulps", [(256, 1 / 16, 0), (255, 1 / 16, 4),
+                                          (2048, 1 / 64, 8)])
+def test_fourier_rows_mirror_symmetric_grids(nx, dx, ulps, at):
+    # a lattice of power-of-two dx is exactly symmetric, so its rows come
+    # from the first half of x; appending a point breaks the symmetry
+    # without moving the xi rule (max |x| stays), so the reference
+    # transforms every x.  An off-centre atom needs the sin part too.
+    # A column moves only where BLAS sums it differently in a GEMM of
+    # another width, by a few ulp of the row max.
+    xs = -0.5 * nx * dx + (np.arange(nx) + 0.5) * dx
+    assert np.array_equal(xs, -xs[::-1])
+    u0 = delta(1.0, at)
+    rows = functools.partial(_fourier_rows, brownian(1.0),
+                             0.01 * np.arange(1, 65),
+                             u_hat=lambda xi: fourier_u0(u0, xi),
+                             radius=u0.data_radius)
+    got = rows(xs)
+    ref = rows(np.append(xs, 0.01))[:, :-1]
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= ulps * np.finfo(float).eps * scale)
+    if at:
+        assert not np.allclose(got, got[:, ::-1])
+    # a grid without its last point is not symmetric and takes every x,
+    # in GEMMs of another width
+    assert np.all(np.abs(rows(xs[:-1]) - got[:, :-1])
+                  <= 8 * np.finfo(float).eps * scale)
 
 
 def test_model_validation():

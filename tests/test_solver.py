@@ -1,7 +1,7 @@
 import dataclasses
 import math
+import os
 import sys
-import threading
 import time
 import tracemalloc
 
@@ -44,9 +44,10 @@ from levyheat.levy_kernel import ROW_CHUNK, bandlimited_rows
 from levyheat.noise_field import noise_rows
 from levyheat.solver import (BATCH, FFT_MIN_NX, _det_rows,
                              _deterministic_distance_time,
-                             _flat_second_moment, _propagators,
-                             _thread_map, _toeplitz, build_lattice,
-                             check_truncation, march, march_seeds, x_centers)
+                             _flat_second_moment, _fork_map, _propagators,
+                             _shared_zeros, _toeplitz, _worker_count,
+                             build_lattice, check_truncation, march,
+                             march_seeds, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -99,6 +100,30 @@ def dense_propagators(model, dt, dx, nx):
     rows = bandlimited_rows(model, dx, nx, [0.0, dt])
     avg0 = bandlimited_rows(model, dx, nx, [0.0], dt_average=dt)[0]
     return dx * toeplitz(rows[1]), toeplitz(avg0)
+
+
+def folded_step(mats, ops):
+    """sum_k ops[k] @ mats[k] for centrosymmetric mats through the even/odd
+    fold, written out: row x folds to e = (x[i] + x[nx-1-i], i < h; the
+    centre x[h] of odd nx) and o = (x[i] - x[nx-1-i], i < h), each mat to
+    its blocks on e and o, and one product per part is unfolded."""
+    nx = ops[0].shape[-1]
+    h, m = nx // 2, nx - nx // 2
+    mirror = nx - 1 - np.arange(h)
+    e_blocks, o_blocks, es, os_ = [], [], [], []
+    for mat, x in zip(mats, ops):
+        blk = mat[:m, :m].copy()
+        blk[:h] = 0.5 * (mat[:h, :m] + mat[mirror, :m])
+        e_blocks.append(blk)
+        o_blocks.append(0.5 * (mat[:h, :h] - mat[mirror, :h]))
+        e = x[..., :m].copy()
+        e[..., :h] = x[..., :h] + x[..., mirror]
+        es.append(e)
+        os_.append(x[..., :h] - x[..., mirror])
+    s = np.concatenate(es, axis=-1) @ np.concatenate(e_blocks)
+    a = np.concatenate(os_, axis=-1) @ np.concatenate(o_blocks)
+    return np.concatenate([s[..., :h] + a, s[..., h:],
+                           (s[..., :h] - a)[..., ::-1]], axis=-1)
 
 
 def assert_head_of_run(run, j0):
@@ -301,8 +326,9 @@ class TestPropagators:
             scale = np.abs(ref).max(axis=-1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
-    def test_dense_march_below_threshold_is_the_matrix_product(self):
-        nx, dt, dx = 256, 0.01, 0.0625
+    @pytest.mark.parametrize("nx", [256, 255])
+    def test_dense_march_below_threshold_is_the_folded_product(self, nx):
+        dt, dx = 0.01, 0.0625
         assert nx < FFT_MIN_NX
         lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, n_steps=10,
                             shifts=[0.0, 0.05])
@@ -311,17 +337,35 @@ class TestPropagators:
         got = []
         march(lat, PAM, noise_rows(dt, dx, nx, range(3), 1, 10),
               lambda j, u: got.append(u.copy()), b=3)
-        # the march loop with P and K0 as explicit matrices
+        # the march loop with the fold written out (bit for bit) and with
+        # P and K0 as plain matrix products (to a few ulp of the row max)
         p, k0 = dense_propagators(BM, dt, dx, nx)
-        v = np.zeros((6, nx))
-        u = np.broadcast_to(lat.det[:, 0], (3, 2, nx))
-        ref = [u]
-        for j in range(1, 10):
-            shot = PAM.apply(u) * noise[:, None, j]
-            v = v @ p + shot.reshape(6, nx) @ k0
-            u = lat.det[:, j] + v.reshape(3, 2, nx)
-            ref.append(u)
-        assert np.array_equal(np.array(got), np.array(ref))
+        for step, ulps in [(lambda v, s: folded_step([p, k0], [v, s]), 0),
+                           (lambda v, s: v @ p + s @ k0, 32)]:
+            v = np.zeros((6, nx))
+            u = np.broadcast_to(lat.det[:, 0], (3, 2, nx))
+            ref = [u]
+            for j in range(1, 10):
+                shot = PAM.apply(u) * noise[:, None, j]
+                v = step(v, shot.reshape(6, nx))
+                u = lat.det[:, j] + v.reshape(3, 2, nx)
+                ref.append(u)
+            scale = np.abs(ref).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(np.array(got) - ref)
+                          <= ulps * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("nx", [256, 255, 2, 1])
+    def test_dense_step_is_the_folded_product(self, nx):
+        dt, dx = 0.01, 0.0625
+        step = _propagators(BM, dt, dx, nx)
+        p, k0 = dense_propagators(BM, dt, dx, nx)
+        v, shot = np.random.default_rng(nx).standard_normal((2, 3, 2, nx))
+        for got, ops, ref in [(step(v, shot), [v, shot], v @ p + shot @ k0),
+                              (step(v), [v], v @ p)]:
+            assert np.array_equal(got, folded_step([p, k0], ops))
+            scale = np.abs(ref).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps
+                          * scale)
 
     def test_toeplitz_is_scipy_toeplitz(self):
         r = np.random.default_rng(4).standard_normal(FFT_MIN_NX - 1)
@@ -615,99 +659,135 @@ class TestMcMoments:
             assert np.max(np.abs(tab.snapshots[s, 1] - ref)) < 1e-9 * scale
 
 
-class TestThreadMap:
-    """solver._thread_map: the calling thread and helper threads take chunk
-    indices from one counter, and results come back in chunk order."""
+def wait_for(cond, timeout=10.0):
+    """Poll cond until it holds; False after timeout seconds."""
+    end = time.monotonic() + timeout
+    while not cond():
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.001)
+    return True
 
-    def test_chunk_order_when_chunks_finish_out_of_order(self):
-        # chunk 0 ends only after another thread has run chunk 1, so both
-        # threads of two run a chunk, the calling one among them
-        one_done, finished, threads = threading.Event(), [], set()
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+class TestForkMap:
+    """solver._fork_map: chunk i runs in worker i mod w, worker 0 being the
+    caller and the others forked children, which report through shared
+    memory and are all reaped whatever happens."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers, chunks", [(3, 9), (8, 2), (2, 7)])
+    def test_each_chunk_runs_once_in_worker_i_mod_w(self, workers, chunks):
+        runs, pids = _shared_zeros((chunks,)), _shared_zeros((chunks,))
 
         def fn(c):
-            threads.add(threading.get_ident())
-            if c == 0:
-                assert one_done.wait(10)
-            finished.append(c)
+            runs[c] += 1
+            pids[c] = os.getpid()
+
+        assert _fork_map(fn, range(chunks), workers) is None
+        w = min(workers, chunks)
+        assert runs.tolist() == [1.0] * chunks
+        by_worker = [{pids[i] for i in range(r, chunks, w)} for r in range(w)]
+        assert by_worker[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in by_worker)
+        assert len(set.union(*by_worker)) == w
+
+    def test_ensembles_bit_identical_at_1_2_and_3_workers(self, monkeypatch):
+        # 3 BATCH + 5 seeds: four chunks, so three workers share them
+        # unevenly and one worker takes two
+        seeds = 3 * BATCH + 5
+        out = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("LEVYHEAT_THREADS", workers)
+            tab = mc_moments(BM, U0, PAM, dt=0.02, nx=64, half_width=4.0,
+                             t_end=0.1, seeds=seeds, t_probes=[0.06, 0.1],
+                             x_probes=[0.0, 0.5], ks=(1, 2, 4),
+                             snapshot_times=[0.04, 0.1])
+            rows = stability_compare(BM, U0, PAM, [0.1, 0.2], 1.21, seeds,
+                                     t_max=0.1, dt=0.02, nx=64,
+                                     half_width=4.0)
+            out.append([tab.raw_moment, tab.raw_std_error, tab.snapshots,
+                        np.array(rows)])
+        # every path's snapshot rows reached the caller
+        assert out[0][2].shape == (seeds, 2, 64)
+        assert np.all(np.abs(out[0][2]).max(axis=-1) > 0)
+        for other in out[1:]:
+            for a, b in zip(out[0], other):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_error_reaches_the_caller_and_stops_the_map(self, where):
+        # the failing chunk raises once the other worker's chunk has
+        # started; the other chunk then outlasts the stop flag, after
+        # which no worker takes a chunk
+        bad, good = (1, 0) if where == "child" else (0, 1)
+        started = _shared_zeros((6,))
+
+        def fn(c):
+            started[c] = 1
+            if c == bad:
+                assert wait_for(lambda: started[good])
+                raise ValueError(f"chunk {c} in the {where}")
+            if c == good:
+                time.sleep(0.3)
+
+        with pytest.raises(ValueError, match=f"chunk {bad} in the {where}"):
+            _fork_map(fn, range(6), 2)
+        assert started.tolist() == [1, 1, 0, 0, 0, 0]
+
+    def test_unpicklable_child_error_keeps_its_message(self):
+        def fn(c):
             if c == 1:
-                one_done.set()
-            return c * c
+                raise Unpicklable("odd chunk")
 
-        assert _thread_map(fn, range(6), 2) == [c * c for c in range(6)]
-        assert finished.index(1) < finished.index(0)
-        assert threading.get_ident() in threads and len(threads) == 2
+        with pytest.raises(RuntimeError, match="Unpicklable: odd chunk"):
+            _fork_map(fn, range(2), 2)
 
-    @pytest.mark.parametrize("workers, chunks", [(3, 9), (8, 2)])
-    def test_at_most_workers_threads(self, workers, chunks):
-        base, live, threads = threading.active_count(), [], set()
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
 
-        def fn(c):
-            threads.add(threading.get_ident())
-            live.append(threading.active_count())
-            time.sleep(0.01)
-            return c
+        monkeypatch.setattr(os, "fork", no_fork)
+        ran = []
+        _fork_map(ran.append, range(3), 1)
+        assert ran == [0, 1, 2]  # a plain list: every chunk in the caller
+        with pytest.raises(KeyError, match="chunk 1"):
+            _fork_map(lambda c: {}[f"chunk {c}"] if c else None, range(3), 1)
+        monkeypatch.setenv("LEVYHEAT_THREADS", "1")
+        mc_moments(BM, U0, PAM, dt=0.02, nx=64, half_width=4.0, t_end=0.04,
+                   seeds=2 * BATCH, t_probes=[0.04], x_probes=[0.0])
 
-        assert _thread_map(fn, range(chunks), workers) == list(range(chunks))
-        assert len(threads) <= min(workers, chunks)
-        assert max(live) - base <= min(workers, chunks) - 1
-        assert threading.active_count() <= base  # every helper joined
 
-    def test_each_chunk_runs_once_under_fast_switching(self):
-        # more threads than cores, switching every microsecond: a lost or
-        # repeated counter update would skip or repeat a chunk
-        ran, interval = [], sys.getswitchinterval()
+class TestWorkerCount:
+    def test_default_is_the_affinity_capped_at_8(self, monkeypatch):
+        monkeypatch.delenv("LEVYHEAT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert _worker_count() == 3
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(20)), raising=False)
+        assert _worker_count() == 8
+        monkeypatch.setenv("LEVYHEAT_THREADS", "5")
+        assert _worker_count() == 5
 
-        def fn(c):
-            ran.append(c)
-            return -c
-
-        sys.setswitchinterval(1e-6)
-        try:
-            out = _thread_map(fn, range(400), 4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert out == [-c for c in range(400)]
-        assert sorted(ran) == list(range(400))
-
-    def test_first_error_propagates_and_no_chunk_starts_after(self):
-        # chunk 0 raises while chunk 1 runs on the other thread; chunk 1
-        # raises later, after chunk 0's error is recorded
-        one_started, raising = threading.Event(), threading.Event()
-        started = []
-
-        def fn(c):
-            started.append(c)
-            if c == 0:
-                assert one_started.wait(10)
-                raising.set()
-                raise ValueError("chunk 0")
-            if c == 1:
-                one_started.set()
-                assert raising.wait(10)
-                time.sleep(0.2)
-                raise RuntimeError("chunk 1")
-            return c
-
-        with pytest.raises(ValueError, match="chunk 0"):
-            _thread_map(fn, range(20), 2)
-        assert sorted(started) == [0, 1]
-
-    def test_one_worker_runs_inline(self):
-        base, threads, started = threading.active_count(), set(), []
-
-        def fn(c):
-            threads.add(threading.get_ident())
-            started.append(c)
-            assert threading.active_count() <= base
-            if c == 2:
-                raise ValueError("chunk 2")
-            return c
-
-        assert _thread_map(fn, range(2), 1) == [0, 1]
-        with pytest.raises(ValueError, match="chunk 2"):
-            _thread_map(fn, range(5), 1)
-        assert started == [0, 1, 0, 1, 2]
-        assert threads == {threading.get_ident()}
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setenv("LEVYHEAT_THREADS", "5")
+        assert _worker_count() == 1
+        monkeypatch.delenv("LEVYHEAT_THREADS")
+        assert _worker_count() == 1
+        monkeypatch.setenv("LEVYHEAT_THREADS", "many")
+        with pytest.raises(ValueError, match="LEVYHEAT_THREADS"):
+            _worker_count()
 
 
 class TestStability:
