@@ -3,10 +3,10 @@
 Cell (i, j) holds the noise increment over [t_i, t_{i+1}) x [x_j, x_{j+1}),
 an independent Normal(0, dt*dx) draw. Cells are addressed by a counter-based
 generator keyed on the seed: cell q = i*nx + j consumes raw word q of the
-keyed Philox stream (four 64-bit words per counter block), so sample_noise's
-full matrix and the rows noise_rows streams from any start row agree
-bit-exactly. The stream refills ROW_BLOCK cells at a time into one
-reused buffer, so a streamed march of b seeds holds O(b*nx) noise.
+keyed Philox stream (four 64-bit words per counter block), so noise_rows
+gives a row the same bits from any start row and in any batch of seeds.
+The stream refills ROW_BLOCK cells at a time into one reused buffer, so a
+streamed march of b seeds holds O(b*nx) noise.
 
 The normal quantile is Cephes ndtri (as in scipy.special.ndtri) in numpy,
 so sampling loads no scipy: same coefficients, branches and Horner order,
@@ -18,43 +18,12 @@ in place through a 1 MB scratch of ROW_BLOCK // 2 cells: a process's first
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .errors import AllocationLimit
-
-MAX_CELLS = 1 << 26  # ~0.5 GiB of float64 increments
 
 # Cells per noise_rows refill, over all its seeds: refilling one row per
 # seed (6,144 cells) made the bundled 800-seed run 10-27% slower (three
 # paired runs, 2-core x86-64), from per-call overhead.
 ROW_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class NoiseLattice:
-    """Immutable (nt x nx) matrix of iid Normal(0, dt*dx) increments;
-    (seed, shape) fully determines them."""
-
-    dt: float
-    dx: float
-    nt: int
-    nx: int
-    seed: int
-    increments: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.dx <= 0:
-            raise ValueError("dt and dx must be positive")
-        if self.nt < 1 or self.nx < 1:
-            raise ValueError("nt and nx must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.nt, self.nx):
-            raise ValueError("increments must have shape (nt, nx)")
-        object.__setattr__(self, "increments", inc)
 
 
 # Cephes ndtri (S. L. Moshier), as in scipy.special. For
@@ -187,31 +156,14 @@ def _scratch(raw: np.ndarray) -> np.ndarray:
     return np.empty((4, min(raw.size, ROW_BLOCK // 2)))
 
 
-def sample_noise(dt: float, dx: float, nt: int, nx: int,
-                 seed: int) -> NoiseLattice:
-    """Full noise lattice; deterministic in (seed, shape)."""
-    if dt <= 0 or dx <= 0:
-        raise ValueError("dt and dx must be positive")
-    if nt < 1 or nx < 1:
-        raise ValueError("nt and nx must be at least 1")
-    if nt * nx > MAX_CELLS:
-        raise AllocationLimit(
-            f"{nt * nx} noise cells exceed the budget of {MAX_CELLS}; "
-            "stream its rows with noise_rows instead")
-    bg = np.random.Philox(key=seed)
-    raw = bg.random_raw(nt * nx).reshape(nt, nx)
-    inc = _raw_to_normal(raw, float(np.sqrt(dt * dx)))
-    return NoiseLattice(dt, dx, nt, nx, seed, inc)
-
-
 def noise_rows(dt: float, dx: float, nx: int, seeds, start: int, stop: int):
     """Rows start..stop-1 of each seed's lattice, in order, one
     (len(seeds), nx) array per row.
 
-    Row i of seed s is bit-exact with sample_noise(dt, dx, nt, nx,
-    s).increments[i].  Each seed draws max(1, ROW_BLOCK // (len(seeds) nx))
-    rows per refill into one reused buffer, so a yielded row is valid only
-    until the next one is taken.
+    Row i of seed s holds words i*nx .. (i+1)*nx - 1 of Philox(key=s), so
+    its bits depend on (dt, dx, nx, s, i) alone.  Each seed draws
+    max(1, ROW_BLOCK // (len(seeds) nx)) rows per refill into one reused
+    buffer, so a yielded row is valid only until the next one is taken.
     """
     gens = [np.random.Philox(key=s).advance(start * nx // 4) for s in seeds]
     for bg in gens:

@@ -1,12 +1,15 @@
 """Lattice solver for the mild equation du = Lu dt + sigma(u) dW.
 
-Two routes to the same object:
+Two routes to the same object, one field per seed of a seed list:
 
 * ``picard_iterate`` runs the fixed-horizon Picard scheme: stage n+1 is the
   deterministic part plus the stochastic convolution of sigma(stage n)
-  against the frozen noise increments.
+  against the seed's noise increments.
 * ``evolve`` marches the per-step mild recursion
   u_{t+dt} = p_dt * u_t + int_t^{t+dt} p_{t+dt-s}(y-x) sigma(u) dW.
+
+Every route streams its noise from ``noise_rows``, so noise row i of a
+seed has the same bits on all of them.
 
 Every time-step march (evolve, mc_moments, stability_compare and the
 ensembles of the analysis layer) is the one loop in ``march``, on a
@@ -61,7 +64,7 @@ from .levy_kernel import (ROW_CHUNK, XI_TOL, KernelModel, _fast_len,
                           exterior_mass, frak_T, gamma_k, p0_eval, psi_eval,
                           upsilon_eval)
 from .measure_init import FiniteMeasure, fourier_u0, heat_convolve_rows
-from .noise_field import MAX_CELLS, NoiseLattice, noise_rows
+from .noise_field import noise_rows
 
 __all__ = [
     "SigmaSpec", "sigma_linear", "sigma_saturating", "sigma_custom",
@@ -77,6 +80,8 @@ __all__ = [
 EPS_GROWTH = 0.5
 
 TRUNCATION_TOL = 1e-8
+
+MAX_CELLS = 1 << 26  # ~0.5 GiB of float64 cells per field or buffer
 
 # Lattices of at least this many cells apply P and K0 through circulant
 # FFTs instead of the folded dense blocks.  It is the measured crossover
@@ -175,9 +180,11 @@ def sigma_custom(table_x, table_y, lower_lip: float | None = None) -> SigmaSpec:
 class FieldLattice:
     """One realized field on a space-time lattice.
 
-    scheme is "picard" (picard_order sweeps) or "timestep".  eps_num is
-    ten times the measured drift of the deterministic rows under the
-    lattice propagator, the scheme-error yardstick used by positivity_scan.
+    scheme is "picard" (picard_order sweeps) or "timestep"; seed names
+    the noise_rows stream that drove it.  eps_num is ten times the
+    measured drift of the deterministic rows under the lattice propagator,
+    the scheme-error yardstick used by positivity_scan; the fields of one
+    evolve call share it.
     """
 
     grid: SpaceTimeGrid
@@ -478,14 +485,14 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
 # Time stepping.
 # ---------------------------------------------------------------------------
 
-def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *,
+def march(lat: Lattice, sigma: SigmaSpec, stream, observe, *,
           b: int = 1) -> None:
     """The one time-step loop: v <- v P + (sigma(u) W_j) K0, u = det_j + v.
 
     The batch is (b, c, nx): b seeds, whose increments W_j drive step j,
-    by the c starts of lat, which share that noise.  The iterable noise
-    yields each (b, nx) W_j in step order, and each is used before the
-    next is taken, so a stream may reuse one buffer (noise_rows).
+    by the c starts of lat, which share that noise.  The iterable stream
+    (noise_rows) yields each (b, nx) W_j in step order, and each is used
+    before the next is taken, so it may reuse one buffer.
     observe(j, u) gets the (b, c, nx) field after step j.  The march
     starts at lat.det[:, 0] and takes W_1 .. W_{steps-1}.
     """
@@ -493,7 +500,7 @@ def march(lat: Lattice, sigma: SigmaSpec, noise, observe, *,
     v = np.zeros((b * c, nx))
     u = np.broadcast_to(lat.det[:, 0], (b, c, nx)).copy()
     observe(0, u)
-    for j, w in zip(range(1, steps), noise, strict=True):
+    for j, w in zip(range(1, steps), stream, strict=True):
         shot = sigma.apply(u) * w[:, None]
         v = lat.step(v, shot.reshape(b * c, nx))
         u = lat.det[:, j] + v.reshape(b, c, nx)
@@ -602,13 +609,16 @@ _thread_map = _fork_map
 
 
 def seed_ids(seeds) -> list[int]:
-    """Seeds as a nonempty list of ints; an int n stands for 0..n-1."""
+    """Seeds as a nonempty list of ints; an int n stands for 0..n-1.
+    Each must be a Philox key, 0 <= s < 2**128."""
     if isinstance(seeds, (int, np.integer)):
         out = list(range(int(seeds)))
     else:
         out = [int(s) for s in seeds]
     if not out:
         raise ValueError("need at least one seed")
+    if not all(0 <= s < 1 << 128 for s in out):
+        raise ValueError("seeds must lie in [0, 2**128), the Philox keys")
     return out
 
 
@@ -621,8 +631,7 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     forked workers, so it may write only to its own chunk's slots of
     arrays from _shared_zeros: no other write reaches the caller.  A
     chunk streams its noise step by step from noise_rows, so its memory
-    is O(BATCH nx) whatever the number of steps, and its draws are
-    bit-exact with sample_noise.
+    is O(BATCH nx) whatever the number of steps.
     """
     seeds = list(seeds)
     steps, nx = lat.det.shape[1:]
@@ -635,35 +644,36 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     _fork_map(chunk, range(0, len(seeds), BATCH), _worker_count())
 
 
-def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
-           noise: NoiseLattice, t_end: float) -> FieldLattice:
-    """March the mild recursion from the measure u0 to t_end on the noise
-    lattice.
+def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
+           dt: float, nx: int, half_width: float, t_end: float,
+           seeds) -> list[FieldLattice]:
+    """March the mild recursion from the measure u0 to t_end, one field per
+    seed (see seed_ids), on nx cells of [-half_width, half_width].
 
     Row 1 is deterministic and noise rows 1..m-1 drive the later steps
-    (row 0 stays idle).
+    (row 0 stays idle).  The seeds march as march_seeds chunks, so a
+    seed's rows are those of the same seed in an mc_moments ensemble.
     """
-    dt, dx, nx = noise.dt, noise.dx, noise.nx
-    m = step_numbers(t_end, dt, "time span")[0]
-    if m > noise.nt:
-        raise ValueError(f"noise lattice has {noise.nt} rows, need {m}")
-    if 3 * (m + 1) * nx > MAX_CELLS:
+    seeds = seed_ids(seeds)
+    m = step_numbers(t_end, dt, "t_end")[0]
+    if len(seeds) * m * nx > MAX_CELLS:
         raise AllocationLimit(
-            f"field of {m} x {nx} cells exceeds the allocation budget")
+            f"{len(seeds)} fields of {m} x {nx} cells exceed the budget")
+    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
+                        n_steps=m)
+    vals = _shared_zeros((len(seeds), m, nx))
 
-    lat = build_lattice(model, u0, dt=dt, dx=dx, nx=nx, n_steps=m)
-    vals = np.empty((m, nx))
+    def keep(first, j, u):
+        vals[first:first + u.shape[0], j] = u[:, 0]
 
-    def keep(j, u):
-        vals[j] = u[0, 0]
-
-    march(lat, sigma, noise.increments[1:m, None], keep)
-    return FieldLattice(grid=SpaceTimeGrid(dt * np.arange(1, m + 1),
-                                           lat.x_nodes, vals),
-                        scheme="timestep", seed=noise.seed,
-                        truncation_L=0.5 * nx * dx, dt=dt,
-                        eps_num=10.0 * _scheme_drift(lat),
-                        exterior_mass_frac=lat.exterior_mass_frac)
+    march_seeds(lat, sigma, seeds, keep)
+    times = dt * np.arange(1, m + 1)
+    eps_num = 10.0 * _scheme_drift(lat)
+    return [FieldLattice(grid=SpaceTimeGrid(times, lat.x_nodes, rows),
+                         scheme="timestep", seed=s, truncation_L=half_width,
+                         dt=dt, eps_num=eps_num,
+                         exterior_mass_frac=lat.exterior_mass_frac)
+            for s, rows in zip(seeds, vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -673,62 +683,68 @@ def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
 def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
     """rows[m] = base[m] + sum_{i<m} S_{m-1-i} (*) drive(i, rows[i]).
 
+    base is (nt, b, nx), a batch of b fields marched at once, and
     S_l (*) g applies the symmetric Toeplitz matrix with first row
-    srows[l] through its circulant embedding.  Each kernel row and each
-    drive row is transformed once, the lag sum is taken in Fourier space,
-    and each output row costs one irfft.
+    srows[l] to each row of g, through its circulant embedding.  Each
+    kernel row and each drive row is transformed once, the lag sum is
+    taken in Fourier space, and each output row costs one irfft.
     """
-    nt, nx = base.shape
+    nt, b, nx = base.shape
     m_fft = _fast_len(2 * nx)
-    shat = _circulant_spectra(srows, m_fft)
-    dhat = np.empty((nt, shat.shape[1]), dtype=complex)
+    shat = _circulant_spectra(srows, m_fft)[:, None]
+    dhat = np.empty((nt, b, shat.shape[-1]), dtype=complex)
     rows = base.copy()
     for m in range(1, nt):
         dhat[m - 1] = rfft(drive(m - 1, rows[m - 1]), m_fft)
         acc = np.sum(dhat[:m] * shat[m - 1::-1], axis=0)
-        rows[m] += irfft(acc, n=m_fft)[:nx]
+        rows[m] += irfft(acc, n=m_fft)[:, :nx]
     return rows
 
 
 def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
-                   noise: NoiseLattice, n: int, *,
-                   k: float = 2.0) -> FieldLattice:
-    """n-th Picard stage on the frozen noise realization.
+                   n: int, *, dt: float, nx: int, half_width: float,
+                   t_end: float, seeds, k: float = 2.0) -> list[FieldLattice]:
+    """n-th Picard stage, one field per seed, on the lattice of evolve.
 
     Stage 0 is identically zero; stage n+1 puts the exact deterministic row
     plus the stochastic convolution of sigma(stage n) with cell-averaged
-    band-limited kernel weights.  The lattice horizon nt*dt must stay
-    within the order-k moment horizon frak_T_k.  Because the system is
-    causal, n >= nt reproduces the timestep fixed point (up to roundoff
-    and edge truncation).
+    band-limited kernel weights, driven by noise rows 1..nt-1 of each
+    seed; all seeds go through a stage as one batch.  The horizon t_end
+    must stay within the order-k moment horizon frak_T_k.  Because the
+    system is causal, n >= nt reproduces the timestep fixed point (up to
+    roundoff and edge truncation).
     """
     if n < 0:
         raise ValueError("Picard stage must be >= 0")
-    dt, dx, nx, nt = noise.dt, noise.dx, noise.nx, noise.nt
+    seeds = seed_ids(seeds)
+    nt = step_numbers(t_end, dt, "t_end")[0]
     horizon = nt * dt
     t_max = frak_T(model, k, sigma.lip)
     if horizon > t_max * (1 + 1e-9):
         raise HorizonExceeded(
             f"lattice horizon {horizon:g} exceeds the order-{k:g} moment "
             f"horizon {t_max:g}")
-    if 4 * (nt + 1) * nx > MAX_CELLS:
+    if 4 * (nt + 1) * len(seeds) * nx > MAX_CELLS:
         raise AllocationLimit("Picard stage exceeds the allocation budget")
 
+    dx = 2.0 * half_width / nx
     x_nodes = x_centers(nx, dx)
-    half = 0.5 * nx * dx
-    ext = check_truncation(model, u0, horizon, half)
-    cur = np.zeros((nt, nx))  # stage 0
+    ext = check_truncation(model, u0, horizon, half_width)
+    cur = np.zeros((nt, len(seeds), nx))  # stage 0
     if n > 0:
-        det = _det_rows(model, u0, dt, nt, x_nodes, half)
+        det = _det_rows(model, u0, dt, nt, x_nodes, half_width)
+        base = np.broadcast_to(det[:, None], cur.shape)
         srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                                  dt_average=dt)
         for _ in range(n):
-            shots = sigma.apply(cur[:nt - 1]) * noise.increments[1:nt]
-            cur = _lag_march(det, srows, lambda i, _row: shots[i])
-    return FieldLattice(grid=SpaceTimeGrid(dt * np.arange(1, nt + 1),
-                                           x_nodes, cur),
-                        scheme="picard", seed=noise.seed, truncation_L=half,
-                        dt=dt, picard_order=n, exterior_mass_frac=ext)
+            prev, noise = cur, noise_rows(dt, dx, nx, seeds, 1, nt)
+            cur = _lag_march(base, srows,
+                             lambda i, _: sigma.apply(prev[i]) * next(noise))
+    times = dt * np.arange(1, nt + 1)
+    return [FieldLattice(grid=SpaceTimeGrid(times, x_nodes, cur[:, i]),
+                         scheme="picard", seed=s, truncation_L=half_width,
+                         dt=dt, picard_order=n, exterior_mass_frac=ext)
+            for i, s in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +768,8 @@ def _oracle_lattice(model, u0, lam, t_nodes, x_nodes) -> np.ndarray:
     srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                              dt_average=dt)
     scale = lam * lam * dt * dx
-    return _lag_march(det ** 2, srows ** 2, lambda i, row: scale * row)
+    return _lag_march(det[:, None] ** 2, srows ** 2,
+                      lambda i, row: scale * row)[:, 0]
 
 
 def _oracle_continuum(model, u0, lam, t_targets, x_out) -> np.ndarray:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from levyheat import (NOT_APPLICABLE, BoundVerdict, FieldLattice,
-                      FiniteMeasure, MomentTable, SpaceTimeGrid, brownian,
+from levyheat import (NOT_APPLICABLE, BoundVerdict, FiniteMeasure,
+                      MomentTable, brownian,
                       check_exist_unique_bound, delta, evolve,
                       heat_convolve_many, lyapunov_fit,
                       make_positive_definite_example, mc_moments,
                       modulus_estimate, nochaos_sup_scan, p0_eval,
-                      pam_second_moment_oracle, sample_noise, sigma_linear,
+                      pam_second_moment_oracle, sigma_linear,
                       sigma_saturating, small_t_scan, tabulated,
                       tail_decay_fit)
 from levyheat.analysis import _scan_grid
@@ -56,26 +56,6 @@ def box_measure(radius=8.0, n=161):
     return FiniteMeasure(density_grid=grid,
                          density_values=np.ones(grid.size),
                          support_radius=radius)
-
-
-def batched_replicas(u0, sigma, *, dt, nx, half_width, t, n):
-    """One-row FieldLattice per seed from the shared ensemble march."""
-    tab = mc_moments(BM, u0, sigma, dt=dt, nx=nx, half_width=half_width,
-                     t_end=t, seeds=n, t_probes=[], x_probes=[], ks=[],
-                     snapshot_times=[t])
-    rows, xn = tab.snapshots, tab.lattice.x_nodes
-    return [FieldLattice(grid=SpaceTimeGrid(np.array([t]), xn, rows[i]),
-                         scheme="timestep", seed=i,
-                         truncation_L=half_width, dt=dt)
-            for i in range(rows.shape[0])]
-
-
-def evolve_replicas(u0, sigma, *, dt, nx, half_width, t_end, n, seed0=0):
-    dx = 2.0 * half_width / nx
-    steps = int(round(t_end / dt))
-    return [evolve(BM, u0, sigma,
-                   sample_noise(dt, dx, steps, nx, s), t_end)
-            for s in range(seed0, seed0 + n)]
 
 
 class TestBoundVerdict:
@@ -292,8 +272,8 @@ class TestModulusEstimate:
 
     def test_deterministic_quotient_below_lipschitz_ceiling(self):
         t = 0.5
-        reps = evolve_replicas(U0, SIG0, dt=0.005, nx=256, half_width=8.0,
-                               t_end=t, n=2)
+        reps = evolve(BM, U0, SIG0, dt=0.005, nx=256, half_width=8.0,
+                      t_end=t, seeds=2)
         stat = modulus_estimate(reps, t, (0.0, 1.0), 0.5)
         # |u(x)-u(x')| <= sup|p_t'| |x-x'| and the window has unit width,
         # so the quotient is at most (sup|p_t'|)^2 pair-separation^{1.5}
@@ -306,10 +286,10 @@ class TestModulusEstimate:
 
     def test_pam_stable_under_dx_halving(self):
         t = 0.3
-        coarse = evolve_replicas(U0, PAM, dt=0.01, nx=128, half_width=8.0,
-                                 t_end=t, n=64)
-        fine = evolve_replicas(U0, PAM, dt=0.01, nx=256, half_width=8.0,
-                               t_end=t, n=64)
+        coarse = evolve(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
+                        t_end=t, seeds=64)
+        fine = evolve(BM, U0, PAM, dt=0.01, nx=256, half_width=8.0,
+                      t_end=t, seeds=64)
         mc_ = modulus_estimate(coarse, t, (0.0, 1.0), 0.5)
         mf_ = modulus_estimate(fine, t, (0.0, 1.0), 0.5)
         assert mf_.dx == pytest.approx(mc_.dx / 2.0)
@@ -318,8 +298,8 @@ class TestModulusEstimate:
 
     def test_uniform_over_unit_intervals(self):
         # broad flat data, so all tested windows see comparable fields
-        reps = batched_replicas(box_measure(), PAM, dt=0.01, nx=416,
-                                half_width=13.0, t=0.5, n=32)
+        reps = evolve(BM, box_measure(), PAM, dt=0.01, nx=416,
+                      half_width=13.0, t_end=0.5, seeds=32)
         stats = np.array([
             modulus_estimate(reps, 0.5, (float(j), float(j + 1)), 0.5).mean
             for j in range(4)])
@@ -327,30 +307,31 @@ class TestModulusEstimate:
         assert stats.max() / stats.min() < 5.0
 
     def test_rejects_bad_inputs(self):
-        reps = evolve_replicas(U0, SIG0, dt=0.01, nx=64, half_width=4.0,
-                               t_end=0.1, n=1)
+        reps = evolve(BM, U0, SIG0, dt=0.01, nx=64, half_width=4.0,
+                      t_end=0.1, seeds=1)
         with pytest.raises(ValueError, match="replica"):
             modulus_estimate([], 0.1, (0.0, 1.0), 0.5)
         with pytest.raises(ValueError, match="eps"):
             modulus_estimate(reps, 0.1, (0.0, 1.0), 1.5)
         with pytest.raises(ValueError, match="length"):
             modulus_estimate(reps, 0.1, (1.0, 1.0), 0.5)
-        other = evolve_replicas(U0, SIG0, dt=0.01, nx=32, half_width=2.0,
-                                t_end=0.1, n=1)
+        other = evolve(BM, U0, SIG0, dt=0.01, nx=32, half_width=2.0,
+                       t_end=0.1, seeds=1)
         with pytest.raises(ValueError, match="share"):
             modulus_estimate(reps + other, 0.1, (0.0, 1.0), 0.5)
 
     def test_reads_a_real_time_row(self):
-        reps = evolve_replicas(U0, PAM, dt=0.01, nx=64, half_width=4.0,
-                               t_end=0.1, n=2)
+        reps = evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                      t_end=0.1, seeds=2)
         ref = modulus_estimate(reps, 0.05, (0.0, 1.0), 0.5)
         assert modulus_estimate(reps, 0.05 * (1 + 1e-12), (0.0, 1.0),
                                 0.5) == ref
         for t in (0.055, 0.2, 0.005):  # between rows, past the end, before
             with pytest.raises(ValueError, match="time row"):
                 modulus_estimate(reps, t, (0.0, 1.0), 0.5)
-        one = batched_replicas(U0, PAM, dt=0.01, nx=64, half_width=4.0,
-                               t=0.1, n=2)
+        # one step of 0.1: its only time row is 0.1
+        one = evolve(BM, U0, PAM, dt=0.1, nx=64, half_width=4.0, t_end=0.1,
+                     seeds=2)
         with pytest.raises(ValueError, match="time row"):
             modulus_estimate(one, 0.05, (0.0, 1.0), 0.5)
 

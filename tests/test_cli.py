@@ -193,6 +193,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="seeds"):
             load_experiment_config(path)
 
+    def test_seed_past_philox_keys(self, tmp_path):
+        path, _ = small_config(tmp_path, seeds=[0, 2 ** 128])
+        with pytest.raises(ConfigInvalid, match=r"seeds\[1\]"):
+            load_experiment_config(path)
+        path, _ = small_config(tmp_path, seeds=[0, 2 ** 128 - 1])
+        assert load_experiment_config(path).seeds == (0, 2 ** 128 - 1)
+
     def test_extra_key_rejected(self, tmp_path):
         path, doc = small_config(tmp_path)
         doc["extra"] = 1
@@ -486,6 +493,19 @@ class TestSimulateCommand:
             tmp_path, outputs={"dir": str(tmp_path / "sim"),
                                "snapshot_times": [0.105]})
         assert run_cli("simulate", str(path)).returncode == 64
+
+    def test_seed_past_philox_keys_exits_64(self, tmp_path):
+        # Philox keys are below 2^128; the largest one marches
+        path, _ = self.sim_config(tmp_path, seeds=[2 ** 128])
+        res = run_cli("simulate", str(path))
+        assert res.returncode == 64, res.stderr
+        assert "seeds[0]" in res.stderr
+        path, doc = self.sim_config(tmp_path, seeds=[2 ** 128 - 1],
+                                    sigma={"kind": "linear", "lam": 1.0})
+        assert main(["simulate", str(path)]) == 0
+        manifest = json.loads(
+            (Path(doc["outputs"]["dir"]) / "manifest.json").read_text())
+        assert manifest["seeds"] == [2 ** 128 - 1]
 
     def test_probe_beyond_t_end_exits_64(self, tmp_path):
         path, _ = self.sim_config(

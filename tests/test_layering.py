@@ -132,8 +132,9 @@ def module_functions(name):
 
 def test_no_batch_thread_budget_or_stray_spec_parameters():
     # the seed chunk is solver.BATCH, the worker count LEVYHEAT_THREADS,
-    # the allocation budget noise_field.MAX_CELLS, the quadrature rule
-    # levy_kernel.XI_TOL and XI_NODES
+    # the allocation budget solver.MAX_CELLS, the quadrature rule
+    # levy_kernel.XI_TOL and XI_NODES; noise is drawn from seeds by
+    # noise_field.noise_rows, never passed in
     knobs = []
     for name in ("solver", "analysis", "conv_calculus", "noise_field",
                  "levy_kernel", "measure_init"):
@@ -142,7 +143,9 @@ def test_no_batch_thread_budget_or_stray_spec_parameters():
         for fname, fn in module_functions(name).items():
             params = inspect.signature(fn).parameters
             knobs += [(name, fname, p) for p in ("batch", "threads",
-                                                 "max_cells", "spec")
+                                                 "max_cells", "spec",
+                                                 "noise")
                       if p in params]
     assert knobs == []
-    assert not hasattr(levyheat, "QuadratureSpec")
+    for gone in ("QuadratureSpec", "NoiseLattice", "sample_noise"):
+        assert not hasattr(levyheat, gone)

@@ -5,44 +5,52 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from levyheat import AllocationLimit
 from levyheat.noise_field import (
     ROW_BLOCK,
-    NoiseLattice,
     _E2,
     _ndtri,
     _raw_to_normal,
     noise_rows,
-    sample_noise,
 )
 from levyheat.solver import BATCH
 
 N_REPS = 10_000
 
 
+def whole_lattice(dt, dx, nt, nx, seed):
+    """The (nt, nx) lattice of one seed from one draw of nt nx raw words,
+    converted at once: the reference noise_rows must match in every
+    batch, start row and refill size."""
+    raw = np.random.Philox(key=seed).random_raw(nt * nx)
+    return _raw_to_normal(raw, math.sqrt(dt * dx)).reshape(nt, nx)
+
+
+def streamed(dt, dx, nx, seeds, start, stop):
+    """noise_rows as one (stop - start, len(seeds), nx) array."""
+    return np.array([row.copy() for row in
+                     noise_rows(dt, dx, nx, seeds, start, stop)])
+
+
 @pytest.fixture(scope="module")
 def replicas():
-    """(N_REPS, 20, 16) block of small lattices, one per seed."""
-    nt, nx, dt, dx = 20, 16, 0.05, 0.25
-    reps = np.empty((N_REPS, nt, nx))
-    for s in range(N_REPS):
-        reps[s] = sample_noise(dt, dx, nt, nx, seed=s).increments
-    return reps
+    """(N_REPS, 20, 16) block of small lattices, one per seed, from one
+    stream."""
+    return streamed(0.05, 0.25, 16, range(N_REPS), 0, 20).swapaxes(0, 1)
 
 
 class TestDeterminism:
     def test_same_seed_identical(self):
-        a = sample_noise(0.1, 0.2, 8, 5, seed=42)
-        b = sample_noise(0.1, 0.2, 8, 5, seed=42)
-        assert np.array_equal(a.increments, b.increments)
+        a = streamed(0.1, 0.2, 5, [42], 0, 8)
+        b = streamed(0.1, 0.2, 5, [42], 0, 8)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
-        a = sample_noise(0.1, 0.2, 8, 5, seed=42)
-        b = sample_noise(0.1, 0.2, 8, 5, seed=43)
-        assert not np.array_equal(a.increments, b.increments)
+        a = streamed(0.1, 0.2, 5, [42], 0, 8)
+        b = streamed(0.1, 0.2, 5, [43], 0, 8)
+        assert not np.array_equal(a, b)
 
     def test_streaming_matches_matrix(self):
-        full = sample_noise(0.1, 0.2, 7, 13, seed=99).increments
+        full = whole_lattice(0.1, 0.2, 7, 13, seed=99)
         for i in range(7):
             row, = noise_rows(0.1, 0.2, 13, [99], i, i + 1)
             assert np.array_equal(row[0], full[i])
@@ -54,27 +62,28 @@ class TestDeterminism:
     def test_stream_matches_matrix_across_refills(self, b, nx, start, stop):
         assert nx % 4 and ROW_BLOCK // (b * nx) < stop - start
         seeds = range(100, 100 + b)
-        full = np.array([sample_noise(0.1, 0.2, stop, nx, s).increments
+        full = np.array([whole_lattice(0.1, 0.2, stop, nx, s)
                          for s in seeds])
-        got = np.array([row.copy() for row in
-                        noise_rows(0.1, 0.2, nx, seeds, start, stop)])
+        got = streamed(0.1, 0.2, nx, seeds, start, stop)
         assert np.array_equal(got, full[:, start:].swapaxes(0, 1))
 
     def test_longer_run_shares_prefix(self):
-        # counter addressing: extending nt must not disturb earlier rows
-        short = sample_noise(0.1, 0.2, 7, 13, seed=99).increments
-        long = sample_noise(0.1, 0.2, 9, 13, seed=99).increments
+        # counter addressing: extending a stream must not disturb earlier
+        # rows, which are the head of the seed's whole lattice
+        short = streamed(0.1, 0.2, 13, [99], 0, 7)[:, 0]
+        long = streamed(0.1, 0.2, 13, [99], 0, 9)[:, 0]
         assert np.array_equal(long[:7], short)
+        assert np.array_equal(long, whole_lattice(0.1, 0.2, 9, 13, seed=99))
 
 
 class TestStatistics:
     def test_cell_variance(self):
         # 1e6 cells; sample variance of iid normals has SE sigma^2 sqrt(2/N)
-        lat = sample_noise(0.2, 0.05, 1000, 1000, seed=7)
+        cells = streamed(0.2, 0.05, 1000, [7], 0, 1000)
         target = 0.2 * 0.05
-        three_se = 3.0 * target * np.sqrt(2.0 / lat.increments.size)
-        assert abs(lat.increments.var() - target) < three_se
-        assert abs(lat.increments.mean()) < 3.0 * np.sqrt(target / lat.increments.size)
+        three_se = 3.0 * target * np.sqrt(2.0 / cells.size)
+        assert abs(cells.var() - target) < three_se
+        assert abs(cells.mean()) < 3.0 * np.sqrt(target / cells.size)
 
     def test_sheet_covariance(self, replicas):
         # dt=0.05, dx=0.25: W_1(1) spans 20 rows x 4 cols, W_0.5(2) 10 x 8;
@@ -139,15 +148,20 @@ class TestQuantile:
         got = _ndtri(u.copy(), np.empty_like(u), np.empty((3, u.size)))
         assert np.array_equal(got, ndtri(u))
 
-    def test_sample_noise_converts_in_place(self):
-        nt, nx = 1 << 11, 1 << 11
+    def test_raw_to_normal_converts_in_place(self):
+        # a whole 32 MiB buffer of raw words becomes its own float64 view,
+        # through one 1 MiB scratch
+        raw = np.random.Philox(key=3).random_raw(1 << 22)
+        ref = _raw_to_normal(raw[:4096].copy(), 0.5)
         tracemalloc.start()
         try:
-            lat = sample_noise(0.1, 0.2, nt, nx, seed=3)
+            got = _raw_to_normal(raw, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * lat.increments.nbytes
+        assert np.shares_memory(got, raw) and got.dtype == np.float64
+        assert np.array_equal(got[:4096], ref)
+        assert peak < 0.05 * raw.nbytes
 
     def test_stream_scratch_is_half_a_refill(self):
         # one chunk's stream at the bundled nx: its 61,440-cell refill
@@ -177,16 +191,3 @@ class TestLimitsAndIO:
         assert got[0] == got[1] == ndtri(1.0 - 2.0**-53)
         assert got[2] == ndtri(1.0 - 2.0**-52)
         assert got[3] == ndtri(2.0**-54)
-
-    def test_allocation_limit(self):
-        # 2^27 cells, twice MAX_CELLS; the check raises before any draw
-        with pytest.raises(AllocationLimit):
-            sample_noise(0.1, 0.2, 1 << 13, 1 << 14, seed=1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_noise(-0.1, 0.2, 4, 4, seed=1)
-        with pytest.raises(ValueError):
-            sample_noise(0.1, 0.2, 0, 4, seed=1)
-        with pytest.raises(ValueError):
-            NoiseLattice(0.1, 0.2, 2, 2, 1, np.zeros((3, 2)))

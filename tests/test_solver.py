@@ -13,11 +13,11 @@ from scipy.linalg import toeplitz
 from scipy.special import erf
 
 from levyheat import (
+    AllocationLimit,
     FieldLattice,
     FiniteMeasure,
     GridMismatch,
     HorizonExceeded,
-    NoiseLattice,
     SpaceTimeGrid,
     brownian,
     delta,
@@ -30,7 +30,6 @@ from levyheat import (
     pam_second_moment_oracle,
     picard_iterate,
     positivity_scan,
-    sample_noise,
     sigma_custom,
     sigma_linear,
     sigma_saturating,
@@ -38,16 +37,16 @@ from levyheat import (
     stability_compare,
     stable,
 )
-from levyheat import levy_kernel
+from levyheat import levy_kernel, solver
 from levyheat.errors import TruncationTooSmall
 from levyheat.levy_kernel import ROW_CHUNK, bandlimited_rows
 from levyheat.noise_field import noise_rows
-from levyheat.solver import (BATCH, FFT_MIN_NX, _det_rows,
+from levyheat.solver import (BATCH, FFT_MIN_NX, MAX_CELLS, _det_rows,
                              _deterministic_distance_time,
                              _flat_second_moment, _fork_map, _propagators,
                              _shared_zeros, _toeplitz, _worker_count,
                              build_lattice, check_truncation, march,
-                             march_seeds, x_centers)
+                             march_seeds, seed_ids, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -81,8 +80,8 @@ LONG_STEPS = 70
 
 @pytest.fixture(scope="module")
 def long_run():
-    noise = sample_noise(0.01, 0.125, LONG_STEPS, 128, seed=11)
-    return noise, evolve(BM, U0, PAM, noise, 0.01 * LONG_STEPS)
+    lattice = dict(dt=0.01, nx=128, half_width=8.0, seeds=[11])
+    return lattice, evolve(BM, U0, PAM, t_end=0.01 * LONG_STEPS, **lattice)[0]
 
 
 # above FFT_MIN_NX, and 2 * 541 pads to the odd FFT length 1125
@@ -91,8 +90,8 @@ WIDE_NX = 541
 
 @pytest.fixture(scope="module")
 def wide_run():
-    noise = sample_noise(0.01, 0.03125, LONG_STEPS, WIDE_NX, seed=11)
-    return noise, evolve(BM, U0, PAM, noise, 0.01 * LONG_STEPS)
+    lattice = dict(dt=0.01, nx=WIDE_NX, half_width=WIDE_NX / 64, seeds=[11])
+    return lattice, evolve(BM, U0, PAM, t_end=0.01 * LONG_STEPS, **lattice)[0]
 
 
 def dense_propagators(model, dt, dx, nx):
@@ -128,8 +127,8 @@ def folded_step(mats, ops):
 
 def assert_head_of_run(run, j0):
     """The j0-step run is the first j0 rows of the long one, bit for bit."""
-    noise, full = run
-    part = evolve(BM, U0, PAM, noise, 0.01 * j0)
+    lattice, full = run
+    part, = evolve(BM, U0, PAM, t_end=0.01 * j0, **lattice)
     assert np.array_equal(part.grid.t_nodes, full.grid.t_nodes[:j0])
     assert np.array_equal(part.grid.values, full.grid.values[:j0])
 
@@ -149,14 +148,9 @@ def mc_table():
 @pytest.fixture(scope="module")
 def picard_stack():
     """Center-cell values of Picard stages 0..4 at t = frak_T_2, 200 seeds."""
-    dt = T2 / 32
-    vals = np.empty((5, 200))
-    for seed in range(200):
-        noise = sample_noise(dt, 0.00125, 32, 128, seed)
-        for n in range(5):
-            fld = picard_iterate(BM, U0, PAM, noise, n)
-            vals[n, seed] = fld.grid.values[31, 64]
-    return vals
+    return np.array([[fld.grid.values[31, 64] for fld in picard_iterate(
+        BM, U0, PAM, n, dt=T2 / 32, nx=128, half_width=0.08, t_end=T2,
+        seeds=200)] for n in range(5)])
 
 
 class TestSigmaSpec:
@@ -215,8 +209,8 @@ class TestEvolve:
         # tight tol, as in TestBatchedRows: at the default tol each side
         # is ~1.1e-12 of its row max off the closed form
         set_constant("XI_TOL", 1e-13)
-        noise = sample_noise(0.01, 0.125, 20, 64, seed=3)
-        fld = evolve(BM, U0, sigma_linear(0.0), noise, 0.2)
+        fld, = evolve(BM, U0, sigma_linear(0.0), dt=0.01, nx=64,
+                      half_width=4.0, t_end=0.2, seeds=[3])
         lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64, n_steps=20)
         assert np.array_equal(fld.grid.values, lat.det[0])
         # the lattice's one rule against one rule per time
@@ -248,11 +242,11 @@ class TestEvolve:
         for name, mod in list(sys.modules.items()):
             if name.startswith("levyheat") and hasattr(mod, "_xi_rule"):
                 monkeypatch.setattr(mod, "_xi_rule", counting)
-        noise = sample_noise(0.01, 0.125, 40, 64, seed=5)
 
         def count(m):
             builds.clear()
-            evolve(BM, U0, PAM, noise, 0.01 * m)
+            evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                   t_end=0.01 * m, seeds=[5])
             return len(builds)
 
         assert count(10) == count(40)
@@ -289,25 +283,36 @@ class TestEvolve:
 
     def test_mass_doubling_bit_exact(self):
         # linear sigma commutes with scaling by 2, exactly in floats
-        noise = sample_noise(0.01, 0.125, 15, 64, seed=7)
-        one = evolve(BM, delta(1.0), PAM, noise, 0.15)
-        two = evolve(BM, delta(2.0), PAM, noise, 0.15)
-        assert np.array_equal(two.grid.values, 2.0 * one.grid.values)
+        lattice = dict(dt=0.01, nx=64, half_width=4.0, t_end=0.15,
+                       seeds=[7, 8])
+        one = evolve(BM, delta(1.0), PAM, **lattice)
+        two = evolve(BM, delta(2.0), PAM, **lattice)
+        for a, b in zip(one, two):
+            assert np.array_equal(b.grid.values, 2.0 * a.grid.values)
 
-    def test_first_noise_row_idle(self):
-        base = sample_noise(0.01, 0.125, 12, 64, seed=9)
-        poisoned = base.increments.copy()
-        poisoned[0] = 99.0
-        alt = NoiseLattice(dt=0.01, dx=0.125, nt=12, nx=64, seed=9,
-                           increments=poisoned)
-        a = evolve(BM, U0, PAM, base, 0.12)
-        b = evolve(BM, U0, PAM, alt, 0.12)
-        assert np.array_equal(a.grid.values, b.grid.values)
+    def test_first_noise_row_idle(self, monkeypatch):
+        # noise row 0 would drive the step from the measure, which has no
+        # sigma: every stream starts at row 1 and ends at the last row
+        calls = []
+
+        def recorded(dt, dx, nx, seeds, start, stop):
+            calls.append((start, stop))
+            return noise_rows(dt, dx, nx, seeds, start, stop)
+
+        monkeypatch.setattr(solver, "noise_rows", recorded)
+        monkeypatch.setenv("LEVYHEAT_THREADS", "1")  # calls stay in sight
+        evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0, t_end=0.12,
+               seeds=range(BATCH + 1))
+        assert calls == [(1, 12), (1, 12)]  # one stream per seed chunk
+        calls.clear()
+        picard_iterate(BM, U0, PAM, 3, dt=T2 / 8, nx=32, half_width=0.08,
+                       t_end=T2, seeds=[9])
+        assert calls == [(1, 8)] * 3  # one stream per stage
 
     def test_refinement_warning(self):
-        noise = sample_noise(1e-4, 0.1, 10, 16, seed=0)
         with pytest.warns(UserWarning, match="refinement"):
-            evolve(BM, U0, PAM, noise, 1e-3)
+            evolve(BM, U0, PAM, dt=1e-4, nx=16, half_width=0.8, t_end=1e-3,
+                   seeds=[0])
 
 
 class TestPropagators:
@@ -332,8 +337,8 @@ class TestPropagators:
         assert nx < FFT_MIN_NX
         lat = build_lattice(BM, U0, dt=dt, dx=dx, nx=nx, n_steps=10,
                             shifts=[0.0, 0.05])
-        noise = np.array([sample_noise(dt, dx, 10, nx, s).increments
-                          for s in range(3)])
+        noise = np.array([row.copy() for row in
+                          noise_rows(dt, dx, nx, range(3), 0, 10)])
         got = []
         march(lat, PAM, noise_rows(dt, dx, nx, range(3), 1, 10),
               lambda j, u: got.append(u.copy()), b=3)
@@ -346,7 +351,7 @@ class TestPropagators:
             u = np.broadcast_to(lat.det[:, 0], (3, 2, nx))
             ref = [u]
             for j in range(1, 10):
-                shot = PAM.apply(u) * noise[:, None, j]
+                shot = PAM.apply(u) * noise[j, :, None]
                 v = step(v, shot.reshape(6, nx))
                 u = lat.det[:, j] + v.reshape(3, 2, nx)
                 ref.append(u)
@@ -399,16 +404,19 @@ class TestPropagators:
         assert peaks[400] < BATCH * 400 * nx  # the old block: 8 B a cell
 
 
+# 8 steps of 32 cells of width 0.005, to t = frak_T_2
+SHORT = dict(dt=T2 / 8, nx=32, half_width=0.08, t_end=T2)
+
+
 class TestPicard:
     def test_order_zero_is_zero(self):
-        noise = sample_noise(T2 / 8, 0.005, 8, 32, seed=1)
-        fld = picard_iterate(BM, U0, PAM, noise, 0)
+        fld, = picard_iterate(BM, U0, PAM, 0, seeds=[1], **SHORT)
         assert not fld.grid.values.any()
         assert fld.picard_order == 0
 
     def test_sigma_zero_first_stage_exact(self):
-        noise = sample_noise(T2 / 8, 0.005, 8, 32, seed=1)
-        fld = picard_iterate(BM, U0, sigma_linear(0.0), noise, 3)
+        fld, = picard_iterate(BM, U0, sigma_linear(0.0), 3, seeds=[1],
+                              **SHORT)
         xs = fld.grid.x_nodes
         for i, t in enumerate(fld.grid.t_nodes):
             assert_allclose(fld.grid.values[i],
@@ -416,23 +424,24 @@ class TestPicard:
                             rtol=0, atol=1e-10)
 
     def test_horizon_guard(self):
-        over = sample_noise(T2 / 8, 0.005, 10, 32, seed=0)  # 10 dt > T2
+        over = dict(SHORT, t_end=10 * T2 / 8)  # 10 dt > T2
         with pytest.raises(HorizonExceeded):
-            picard_iterate(BM, U0, PAM, over, 1)
+            picard_iterate(BM, U0, PAM, 1, seeds=[0], **over)
         # k = 4 shrinks the horizon by 4, so half of T2 is already out
-        half = sample_noise(T2 / 8, 0.005, 4, 32, seed=0)
-        picard_iterate(BM, U0, PAM, half, 1, k=2.0)
+        half = dict(SHORT, t_end=T2 / 2)
+        picard_iterate(BM, U0, PAM, 1, seeds=[0], k=2.0, **half)
         with pytest.raises(HorizonExceeded):
-            picard_iterate(BM, U0, PAM, half, 1, k=4.0)
+            picard_iterate(BM, U0, PAM, 1, seeds=[0], k=4.0, **half)
 
     def test_matches_timestep_scheme(self):
         # the two routes share the band-limited lattice kernel, so they
         # agree to quadrature error everywhere and differ visibly only in
         # the outermost cells, where repeated truncated propagator steps
         # and the one-shot lag rows handle the window edge differently
-        noise = sample_noise(T2 / 32, 0.00125, 32, 128, seed=3)
-        direct = evolve(BM, U0, PAM, noise, T2).grid.values
-        fixed = picard_iterate(BM, U0, PAM, noise, 16).grid.values
+        lattice = dict(dt=T2 / 32, nx=128, half_width=0.08, t_end=T2,
+                       seeds=[3])
+        direct = evolve(BM, U0, PAM, **lattice)[0].grid.values
+        fixed = picard_iterate(BM, U0, PAM, 16, **lattice)[0].grid.values
         assert np.abs(fixed - direct).max() < 1e-6 * direct.max()
         mask = direct > 1e-3 * direct.max()
         assert np.abs(fixed[mask] / direct[mask] - 1.0).max() < 1e-6
@@ -650,13 +659,12 @@ class TestMcMoments:
                          t_end=0.2, seeds=3, t_probes=[], x_probes=[], ks=[],
                          snapshot_times=[0.1, 0.2])
         assert tab.snapshots.shape == (3, 2, 128) and tab.t.size == 0
-        for s in range(3):
-            fld = evolve(BM, U0, PAM,
-                         sample_noise(0.01, 0.125, 20, 128, s), 0.2)
+        # both march the same seed chunk on the same lattice
+        flds = evolve(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
+                      t_end=0.2, seeds=3)
+        for snaps, fld in zip(tab.snapshots, flds):
             assert np.array_equal(tab.lattice.x_nodes, fld.grid.x_nodes)
-            ref = fld.grid.values[-1]
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(tab.snapshots[s, 1] - ref)) < 1e-9 * scale
+            assert np.array_equal(snaps, fld.grid.values[[9, 19]])
 
 
 def wait_for(cond, timeout=10.0):
@@ -790,6 +798,36 @@ class TestWorkerCount:
             _worker_count()
 
 
+class TestSeedsAndBudget:
+    def test_seeds_are_philox_keys(self):
+        assert seed_ids([0, 2 ** 128 - 1]) == [0, 2 ** 128 - 1]
+        for bad in (-1, 2 ** 128):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+                seed_ids([3, bad])
+
+    def test_allocation_limit_before_any_march_or_fork(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("work began before the budget check")
+
+        for name in ("build_lattice", "check_truncation", "_det_rows",
+                     "_shared_zeros", "march_seeds", "march"):
+            monkeypatch.setattr(solver, name, forbidden)
+        monkeypatch.setattr(os, "fork", forbidden)
+        nx, seeds = 1 << 10, 1 << 10
+        # 65 steps: one step past 2^26 cells of fields or snapshots
+        assert seeds * 64 * nx == MAX_CELLS
+        with pytest.raises(AllocationLimit):
+            evolve(BM, U0, PAM, dt=0.01, nx=nx, half_width=8.0, t_end=0.65,
+                   seeds=seeds)
+        with pytest.raises(AllocationLimit):
+            mc_moments(BM, U0, PAM, dt=0.01, nx=nx, half_width=8.0,
+                       t_end=0.65, seeds=seeds, t_probes=[], x_probes=[],
+                       ks=[], snapshot_times=0.01 * np.arange(1, 66))
+        with pytest.raises(AllocationLimit):
+            picard_iterate(BM, U0, PAM, 1, dt=T2 / 8, nx=nx, half_width=8.0,
+                           t_end=T2, seeds=2 * seeds)
+
+
 class TestStability:
     def test_bound_vanishes_at_zero(self):
         assert stability_bound(BM, 1.0, 0.0, 1.21) == 0.0
@@ -846,29 +884,21 @@ class TestStability:
 
 class TestPositivity:
     def test_pam_violations_rare(self):
-        total = below = 0
-        for seed in range(60):
-            noise = sample_noise(0.01, 0.125, 30, 64, seed=seed)
-            fld = evolve(BM, U0, PAM, noise, 0.3)
-            _, n_bad = positivity_scan(fld)
-            below += n_bad
-            total += fld.grid.values.size
-        assert below / total < 0.01
+        flds = evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                      t_end=0.3, seeds=60)
+        below = sum(positivity_scan(fld)[1] for fld in flds)
+        assert below / (60 * flds[0].grid.values.size) < 0.01
 
     def test_refinement_does_not_worsen(self):
         def count(dt, nt):
-            bad = 0
-            for seed in range(30):
-                noise = sample_noise(dt, 0.125, nt, 64, seed=seed)
-                bad += positivity_scan(evolve(BM, U0, PAM, noise,
-                                              dt * nt))[1]
-            return bad
+            return sum(positivity_scan(fld)[1] for fld in evolve(
+                BM, U0, PAM, dt=dt, nx=64, half_width=4.0, t_end=dt * nt,
+                seeds=30))
 
         assert count(0.01, 30) <= count(0.02, 15)
 
     def test_needs_a_yardstick(self):
-        noise = sample_noise(T2 / 8, 0.005, 8, 32, seed=1)
-        fld = picard_iterate(BM, U0, PAM, noise, 2)
+        fld, = picard_iterate(BM, U0, PAM, 2, seeds=[1], **SHORT)
         with pytest.raises(ValueError):
             positivity_scan(fld)
         mn, cnt = positivity_scan(fld, eps_num=1e-9)
