@@ -1,11 +1,11 @@
 """Verdicts on moment bounds, scaling laws, and sup statistics.
 
 Pure post-processing: every operation here consumes immutable moment
-tables or realized field lattices (plus the kernel model for envelope
-evaluation) and returns plain values or a BoundVerdict.  The Monte Carlo
-routes of small_t_scan and nochaos_sup_scan draw noise only through the
-solver's mc_moments, with fixed seed lists, so every verdict is
-reproducible from the inputs alone.
+tables or arrays of per-seed field rows (plus the kernel model for
+envelope evaluation) and returns plain values or a BoundVerdict.  The
+Monte Carlo routes of small_t_scan and nochaos_sup_scan draw noise only
+through the solver's mc_moments, with fixed seed lists, so every verdict
+is reproducible from the inputs alone.
 
 Statistical convention: one-sided tests at three standard errors.  A
 bound claim passes when lhs <= rhs + 3 se; deterministic comparisons have
@@ -314,49 +314,42 @@ def tail_decay_fit(moments: MomentTable, K: float) -> float:
 # Modulus of continuity.
 # ---------------------------------------------------------------------------
 
-def modulus_estimate(replicas, t: float, interval, eps: float) -> ModulusStat:
+def modulus_estimate(rows, x_nodes, interval, eps: float) -> ModulusStat:
     """Mean over replicas of sup |u_t(x)-u_t(x')|^2 / |x-x'|^{1-eps}.
 
-    The sup runs over all lattice pairs inside the window
-    interval = (a, b); replicas must share their grid, and t must be one
-    of its times (to 1e-9 relative).  eps trades the
-    Hoelder exponent: eps near 1 scores plain squared increments, small
-    eps penalizes roughness at short distances harder.
+    rows is (replicas, nx), each replica's field at one time t on the
+    uniform lattice x_nodes, such as mc_moments(...).snapshots[:, j].  The
+    sup runs over all lattice pairs inside the window interval = (a, b).
+    eps trades the Hoelder exponent: eps near 1 scores plain squared
+    increments, small eps penalizes roughness at short distances harder.
     """
-    reps = list(replicas)
-    if not reps:
+    rows = np.asarray(rows, dtype=float)
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    n = len(rows)
+    if n == 0:
         raise ValueError("need at least one field replica")
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     a, b = (float(interval[0]), float(interval[1]))
     if not b > a:
         raise ValueError("interval must have positive length")
-    base = reps[0].grid
-    for r in reps[1:]:
-        if not (np.array_equal(r.grid.x_nodes, base.x_nodes)
-                and np.array_equal(r.grid.t_nodes, base.t_nodes)):
-            raise ValueError("replicas must share one lattice")
-    hit = np.flatnonzero(np.abs(base.t_nodes - t) <= 1e-9 * abs(t))
-    if hit.size == 0:
-        raise ValueError(f"t={t:g} is not a time row of the replicas")
-    mask = (base.x_nodes >= a) & (base.x_nodes <= b)
+    mask = (x_nodes >= a) & (x_nodes <= b)
     m = int(np.count_nonzero(mask))
     if m < 2:
         raise ValueError("interval contains fewer than two lattice cells")
-    xs = base.x_nodes[mask]
+    xs = x_nodes[mask]
     sep = np.abs(xs[:, None] - xs[None, :])
     iu = np.triu_indices(m, 1)
     denom = sep[iu] ** (1.0 - eps)
 
-    quot = np.empty(len(reps))
-    for i, r in enumerate(reps):
-        vals = r.grid.values[hit[0], mask]
+    quot = np.empty(n)
+    for i, vals in enumerate(rows[:, mask]):
         diff2 = (vals[:, None] - vals[None, :]) ** 2
         quot[i] = float(np.max(diff2[iu] / denom))
-    n = len(reps)
     se = float(np.std(quot, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return ModulusStat(mean=float(np.mean(quot)), std_error=se,
-                       n_replicas=n, n_pairs=iu[0].size, dx=base.dx)
+                       n_replicas=n, n_pairs=iu[0].size,
+                       dx=float(x_nodes[1] - x_nodes[0]))
 
 
 # ---------------------------------------------------------------------------

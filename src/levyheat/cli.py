@@ -13,13 +13,14 @@ report <run-dir>    re-emit a run's moment table as plot-ready long CSV.
 Exit codes: 0 all claims pass (or nothing to check), 2 at least one claim
 fails, 64 invalid config, 74 I/O failure, 1 any other runtime error.
 
-Every output is deterministic for a fixed (config, package version): seeds
-are explicit in the config, ensemble reductions are in fixed chunk order,
-floats are written with shortest round-trip repr, and the manifest carries
-no timestamps.  All file writes happen sequentially in the main process;
-only the replica marches inside the solver fan out, over the main process
-and forked worker processes (LEVYHEAT_THREADS in all, the main process
-included), which return their sums through shared memory.
+Every output is deterministic for a fixed (config, package version, BLAS
+thread count): seeds are explicit in the config, ensemble reductions are
+in fixed chunk order, floats are written with shortest round-trip repr,
+and the manifest carries no timestamps.  All file writes happen
+sequentially in the main process; only the replica marches inside the
+solver fan out, over the main process and forked workers (LEVYHEAT_THREADS
+in all, the main process included), which return their sums through
+shared memory.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Lattice solver for the mild equation du = Lu dt + sigma(u) dW.
 
-Two routes to the same object, one field per seed of a seed list:
+Two schemes for the same object, one random field per seed of a seed
+list, returned as an array of shape (seeds, times, nx):
 
-* ``picard_iterate`` runs the fixed-horizon Picard scheme: stage n+1 is the
+* the time-step march of the per-step mild recursion
+  u_{t+dt} = p_dt * u_t + int_t^{t+dt} p_{t+dt-s}(y-x) sigma(u) dW,
+  whose fields are the snapshots of ``mc_moments``;
+* ``picard_iterate``, the fixed-horizon Picard scheme: stage n+1 is the
   deterministic part plus the stochastic convolution of sigma(stage n)
   against the seed's noise increments.
-* ``evolve`` marches the per-step mild recursion
-  u_{t+dt} = p_dt * u_t + int_t^{t+dt} p_{t+dt-s}(y-x) sigma(u) dW.
 
-Every route streams its noise from ``noise_rows``, so noise row i of a
-seed has the same bits on all of them.
+Both stream their noise from ``noise_rows``, so noise row i of a seed has
+the same bits on both.
 
-Every time-step march (evolve, mc_moments, stability_compare and the
-ensembles of the analysis layer) is the one loop in ``march``, on a
-``Lattice`` set up by ``build_lattice``.  Both routes use band-limited
-kernel rows on the lattice, so the one-step
+Every time-step march (mc_moments, stability_compare and the ensembles of
+the analysis layer) is the one loop in ``march``, on a ``Lattice`` set up
+by ``build_lattice``.  Both schemes use band-limited kernel rows on the
+lattice, so the one-step
 propagator is an exact lattice semigroup and the unrolled time-step weights
 coincide with the Picard weights up to float roundoff and edge truncation
 (see ``bandlimited_rows``).
@@ -68,11 +70,11 @@ from .noise_field import noise_rows
 
 __all__ = [
     "SigmaSpec", "sigma_linear", "sigma_saturating", "sigma_custom",
-    "FieldLattice", "MomentTable", "MomentRow", "StabilityRow", "Lattice",
-    "build_lattice", "march", "march_seeds", "seed_ids", "step_numbers",
-    "step_slots", "x_centers",
+    "MomentTable", "StabilityRow", "Lattice",
+    "build_lattice", "march", "march_seeds", "scheme_error", "seed_ids",
+    "step_numbers", "step_slots", "x_centers",
     "check_truncation", "growth_envelope",
-    "picard_iterate", "evolve", "pam_second_moment_oracle",
+    "picard_iterate", "pam_second_moment_oracle",
     "stability_compare", "stability_bound", "positivity_scan", "mc_moments",
 ]
 
@@ -127,12 +129,7 @@ class SigmaSpec:
         if self.lower_lip > self.lip * (1 + 1e-12):
             raise ValueError("lower_lip cannot exceed lip")
         if self.kind == "custom":
-            tx = np.asarray(self.table_x, dtype=float)
-            ty = np.asarray(self.table_y, dtype=float)
-            if tx.ndim != 1 or tx.shape != ty.shape or tx.size < 2:
-                raise ValueError("custom sigma needs matching 1-d tables")
-            if np.any(np.diff(tx) <= 0):
-                raise ValueError("custom sigma table_x must be increasing")
+            tx, ty = _sigma_tables(self.table_x, self.table_y)
             object.__setattr__(self, "table_x", tx)
             object.__setattr__(self, "table_y", ty)
             if float(np.interp(0.0, tx, ty)) != 0.0:
@@ -144,6 +141,17 @@ class SigmaSpec:
         if self.kind == "saturating_linear":
             return self.lam * self.cap * np.tanh(values / self.cap)
         return np.interp(values, self.table_x, self.table_y)
+
+
+def _sigma_tables(table_x, table_y):
+    """The custom sigma tables as float arrays, else ValueError."""
+    tx = np.asarray(table_x, dtype=float)
+    ty = np.asarray(table_y, dtype=float)
+    if tx.ndim != 1 or tx.shape != ty.shape or tx.size < 2:
+        raise ValueError("custom sigma needs matching 1-d tables")
+    if np.any(np.diff(tx) <= 0):
+        raise ValueError("custom sigma table_x must be increasing")
+    return tx, ty
 
 
 def sigma_linear(lam: float) -> SigmaSpec:
@@ -160,8 +168,7 @@ def sigma_saturating(lam: float, cap: float) -> SigmaSpec:
 
 
 def sigma_custom(table_x, table_y, lower_lip: float | None = None) -> SigmaSpec:
-    tx = np.asarray(table_x, dtype=float)
-    ty = np.asarray(table_y, dtype=float)
+    tx, ty = _sigma_tables(table_x, table_y)  # before any slope is taken
     slopes = np.abs(np.diff(ty) / np.diff(tx))
     lip = float(slopes.max())
     if lower_lip is None:
@@ -175,41 +182,6 @@ def sigma_custom(table_x, table_y, lower_lip: float | None = None) -> SigmaSpec:
 # ---------------------------------------------------------------------------
 # Result containers.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldLattice:
-    """One realized field on a space-time lattice.
-
-    scheme is "picard" (picard_order sweeps) or "timestep"; seed names
-    the noise_rows stream that drove it.  eps_num is ten times the
-    measured drift of the deterministic rows under the lattice propagator,
-    the scheme-error yardstick used by positivity_scan; the fields of one
-    evolve call share it.
-    """
-
-    grid: SpaceTimeGrid
-    scheme: str
-    seed: int
-    truncation_L: float
-    dt: float
-    picard_order: int | None = None
-    eps_num: float | None = None
-    exterior_mass_frac: float = 0.0
-
-    def __post_init__(self):
-        if self.scheme not in ("picard", "timestep"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "picard":
-            if self.picard_order is None or self.picard_order < 0:
-                raise ValueError("picard scheme needs picard_order >= 0")
-            if self.picard_order == 0 and np.any(self.grid.values != 0.0):
-                raise ValueError("zeroth Picard stage must be identically 0")
-
-
-MomentRow = namedtuple("MomentRow", [
-    "t", "x", "k", "estimate", "std_error",
-    "bound_exist_unique", "bound_h1", "raw_moment", "raw_std_error",
-])
 
 StabilityRow = namedtuple("StabilityRow", [
     "eps", "distance", "std_error", "bound", "tail_bound",
@@ -261,12 +233,6 @@ class MomentTable:
                              "vacuous), not NaN")
         if np.any(self.std_error < 0) or np.any(self.raw_std_error < 0):
             raise ValueError("standard errors must be nonnegative")
-
-    def rows(self) -> list[MomentRow]:
-        return [MomentRow(*vals) for vals in zip(
-            self.t, self.x, self.k, self.estimate, self.std_error,
-            self.bound_exist_unique, self.bound_h1,
-            self.raw_moment, self.raw_std_error)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +353,13 @@ def _propagators(model, dt, dx, nx):
     return step
 
 
-def _scheme_drift(lat) -> float:
-    """Sup deviation between propagated and exact deterministic rows.
+def scheme_error(lat: Lattice) -> float:
+    """The scheme-error yardstick eps_num of positivity_scan: ten times the
+    sup deviation between propagated and exact deterministic rows.
 
-    With det = lat.det[0], the exact rows 1..m, the return value is the
-    worst || det_1 P^{i-1} - det_i ||_inf, the sigma = 0 scheme error that
-    calibrates eps_num.  A roundoff floor keeps the yardstick positive.
+    With det = lat.det[0], the exact rows 1..m, the deviation is the
+    worst || det_1 P^{i-1} - det_i ||_inf, the sigma = 0 scheme error.  A
+    roundoff floor keeps the yardstick positive.
     """
     det = lat.det[0]
     worst = 0.0
@@ -401,7 +368,7 @@ def _scheme_drift(lat) -> float:
         d = lat.step(d)
         worst = max(worst, float(np.abs(d - det[i]).max()))
     floor = 32.0 * np.finfo(float).eps * float(det.max(initial=0.0))
-    return max(worst, floor)
+    return 10.0 * max(worst, floor)
 
 
 def _det_rows(model, u0, dt, n_steps, x_nodes, half_width, shift=0.0):
@@ -447,9 +414,8 @@ class Lattice:
     """What a march needs besides the noise: the cell centers, the exact
     deterministic rows det[s, i] = (p_t * u0), clamped at 0, at
     t = (i + 1) dt + s-th shift (the rows of the start p_shift * u0; see
-    _det_rows), the one-step apply step(v, shot) = v P + shot K0 of the
-    noise part, and the kernel mass outside the window at the last step
-    time.  step holds P and K0 as dense matrices below FFT_MIN_NX cells
+    _det_rows) and the one-step apply step(v, shot) = v P + shot K0 of the
+    noise part, with P and K0 held as dense matrices below FFT_MIN_NX cells
     and as circulant FFT spectra from FFT_MIN_NX on (see _propagators)."""
 
     dt: float
@@ -457,7 +423,6 @@ class Lattice:
     x_nodes: np.ndarray = field(repr=False)
     det: np.ndarray = field(repr=False)
     step: Callable = field(repr=False)
-    exterior_mass_frac: float = 0.0
 
 
 def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
@@ -465,20 +430,23 @@ def build_lattice(model: KernelModel, u0: FiniteMeasure, *, dt: float,
     """The Lattice of nx cells of width dx for the steps 1..n_steps
     (times i dt), with one start p_s * u0 per shift s.
 
-    Warns when the refinement relation p_dt(0) dx <= 0.5 fails; runs
-    check_truncation at the last step time.  The det rows come from
+    Raises AllocationLimit before any work when the det rows exceed
+    MAX_CELLS; warns when the refinement relation p_dt(0) dx <= 0.5 fails;
+    runs check_truncation at the last step time.  The det rows come from
     _det_rows, so a shorter run shares its rows' bits with a longer one.
     """
+    if len(shifts) * n_steps * nx > MAX_CELLS:
+        raise AllocationLimit("deterministic rows exceed the budget")
     if p0_eval(model, dt) * dx > 0.5:
         warnings.warn(
             "refinement relation violated: p_dt(0) dx > 0.5; one-step "
             "variance amplification is no longer controlled", stacklevel=3)
     half = 0.5 * nx * dx
-    ext = check_truncation(model, u0, dt * n_steps, half)
+    check_truncation(model, u0, dt * n_steps, half)
     x_nodes = x_centers(nx, dx)
     det = np.array([_det_rows(model, u0, dt, n_steps, x_nodes, half, s)
                     for s in shifts])
-    return Lattice(dt, dx, x_nodes, det, _propagators(model, dt, dx, nx), ext)
+    return Lattice(dt, dx, x_nodes, det, _propagators(model, dt, dx, nx))
 
 
 # ---------------------------------------------------------------------------
@@ -644,38 +612,6 @@ def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     _fork_map(chunk, range(0, len(seeds), BATCH), _worker_count())
 
 
-def evolve(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec, *,
-           dt: float, nx: int, half_width: float, t_end: float,
-           seeds) -> list[FieldLattice]:
-    """March the mild recursion from the measure u0 to t_end, one field per
-    seed (see seed_ids), on nx cells of [-half_width, half_width].
-
-    Row 1 is deterministic and noise rows 1..m-1 drive the later steps
-    (row 0 stays idle).  The seeds march as march_seeds chunks, so a
-    seed's rows are those of the same seed in an mc_moments ensemble.
-    """
-    seeds = seed_ids(seeds)
-    m = step_numbers(t_end, dt, "t_end")[0]
-    if len(seeds) * m * nx > MAX_CELLS:
-        raise AllocationLimit(
-            f"{len(seeds)} fields of {m} x {nx} cells exceed the budget")
-    lat = build_lattice(model, u0, dt=dt, dx=2.0 * half_width / nx, nx=nx,
-                        n_steps=m)
-    vals = _shared_zeros((len(seeds), m, nx))
-
-    def keep(first, j, u):
-        vals[first:first + u.shape[0], j] = u[:, 0]
-
-    march_seeds(lat, sigma, seeds, keep)
-    times = dt * np.arange(1, m + 1)
-    eps_num = 10.0 * _scheme_drift(lat)
-    return [FieldLattice(grid=SpaceTimeGrid(times, lat.x_nodes, rows),
-                         scheme="timestep", seed=s, truncation_L=half_width,
-                         dt=dt, eps_num=eps_num,
-                         exterior_mass_frac=lat.exterior_mass_frac)
-            for s, rows in zip(seeds, vals)]
-
-
 # ---------------------------------------------------------------------------
 # Picard iteration.
 # ---------------------------------------------------------------------------
@@ -703,8 +639,9 @@ def _lag_march(base: np.ndarray, srows: np.ndarray, drive) -> np.ndarray:
 
 def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
                    n: int, *, dt: float, nx: int, half_width: float,
-                   t_end: float, seeds, k: float = 2.0) -> list[FieldLattice]:
-    """n-th Picard stage, one field per seed, on the lattice of evolve.
+                   t_end: float, seeds, k: float = 2.0) -> np.ndarray:
+    """n-th Picard stage on the lattice of mc_moments, as an array of
+    shape (seeds, nt, nx): row i of a seed's field is time (i + 1) dt.
 
     Stage 0 is identically zero; stage n+1 puts the exact deterministic row
     plus the stochastic convolution of sigma(stage n) with cell-averaged
@@ -728,11 +665,10 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
         raise AllocationLimit("Picard stage exceeds the allocation budget")
 
     dx = 2.0 * half_width / nx
-    x_nodes = x_centers(nx, dx)
-    ext = check_truncation(model, u0, horizon, half_width)
+    check_truncation(model, u0, horizon, half_width)
     cur = np.zeros((nt, len(seeds), nx))  # stage 0
     if n > 0:
-        det = _det_rows(model, u0, dt, nt, x_nodes, half_width)
+        det = _det_rows(model, u0, dt, nt, x_centers(nx, dx), half_width)
         base = np.broadcast_to(det[:, None], cur.shape)
         srows = bandlimited_rows(model, dx, nx, dt * np.arange(nt - 1),
                                  dt_average=dt)
@@ -740,11 +676,7 @@ def picard_iterate(model: KernelModel, u0: FiniteMeasure, sigma: SigmaSpec,
             prev, noise = cur, noise_rows(dt, dx, nx, seeds, 1, nt)
             cur = _lag_march(base, srows,
                              lambda i, _: sigma.apply(prev[i]) * next(noise))
-    times = dt * np.arange(1, nt + 1)
-    return [FieldLattice(grid=SpaceTimeGrid(times, x_nodes, cur[:, i]),
-                         scheme="picard", seed=s, truncation_L=half_width,
-                         dt=dt, picard_order=n, exterior_mass_frac=ext)
-            for i, s in enumerate(seeds)]
+    return cur.swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,18 +1036,12 @@ def stability_compare(model: KernelModel, u0: FiniteMeasure,
 # Positivity.
 # ---------------------------------------------------------------------------
 
-def positivity_scan(fld: FieldLattice, *,
-                    eps_num: float | None = None) -> tuple[float, int]:
-    """Lattice minimum and count of cells below -eps_num.
+def positivity_scan(values, eps_num: float) -> tuple[float, int]:
+    """Minimum of the field values and count of cells below -eps_num.
 
     The continuum solution is nonnegative; the discrete scheme can dip
-    slightly negative, so violations are counted against the scheme-error
-    yardstick eps_num (ten times the measured sigma = 0 drift, stored on
-    timestep fields).  Pass eps_num explicitly for Picard fields.
+    slightly negative, so violations are counted against a scheme-error
+    yardstick eps_num, for time-step fields scheme_error(table.lattice).
     """
-    tol = eps_num if eps_num is not None else fld.eps_num
-    if tol is None:
-        raise ValueError("field carries no scheme error estimate; "
-                         "pass eps_num explicitly")
-    vals = fld.grid.values
-    return float(vals.min()), int(np.count_nonzero(vals < -tol))
+    vals = np.asarray(values, dtype=float)
+    return float(vals.min()), int(np.count_nonzero(vals < -eps_num))

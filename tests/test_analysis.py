@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from levyheat import (NOT_APPLICABLE, BoundVerdict, FiniteMeasure,
                       MomentTable, brownian,
-                      check_exist_unique_bound, delta, evolve,
+                      check_exist_unique_bound, delta,
                       heat_convolve_many, lyapunov_fit,
                       make_positive_definite_example, mc_moments,
                       modulus_estimate, nochaos_sup_scan, p0_eval,
@@ -22,6 +22,14 @@ PAM = sigma_linear(1.0)
 SIG0 = sigma_linear(0.0)
 T2 = math.pi / 16384.0
 BASELINE = 1.0 / math.sqrt(2.0 * math.pi)  # t^{1/2} sup_x p_t for a unit delta
+
+
+def rows_at(model, u0, sigma, t, **lattice):
+    """Every path's row at time t, (seeds, nx), with the cell centers: the
+    snapshot of an mc_moments march to t."""
+    tab = mc_moments(model, u0, sigma, t_end=t, t_probes=[], x_probes=[],
+                     ks=[], snapshot_times=[t], **lattice)
+    return tab.snapshots[:, 0], tab.lattice.x_nodes
 
 
 def det_table(ts, xs, k, raw):
@@ -272,68 +280,51 @@ class TestModulusEstimate:
 
     def test_deterministic_quotient_below_lipschitz_ceiling(self):
         t = 0.5
-        reps = evolve(BM, U0, SIG0, dt=0.005, nx=256, half_width=8.0,
-                      t_end=t, seeds=2)
-        stat = modulus_estimate(reps, t, (0.0, 1.0), 0.5)
+        reps = rows_at(BM, U0, SIG0, t, dt=0.005, nx=256, half_width=8.0,
+                       seeds=2)
+        stat = modulus_estimate(*reps, (0.0, 1.0), 0.5)
         # |u(x)-u(x')| <= sup|p_t'| |x-x'| and the window has unit width,
         # so the quotient is at most (sup|p_t'|)^2 pair-separation^{1.5}
         dmax = math.exp(-0.5) / (math.sqrt(t) * math.sqrt(2 * math.pi * t))
         assert stat.mean <= dmax ** 2 * (1.0 + 1e-9)
         assert stat.std_error == 0.0
         # shrinking the pair separations shrinks the smooth-field quotient
-        near = modulus_estimate(reps, t, (0.0, 0.25), 0.5)
+        near = modulus_estimate(*reps, (0.0, 0.25), 0.5)
         assert near.mean < 0.3 * stat.mean
 
     def test_pam_stable_under_dx_halving(self):
         t = 0.3
-        coarse = evolve(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
-                        t_end=t, seeds=64)
-        fine = evolve(BM, U0, PAM, dt=0.01, nx=256, half_width=8.0,
-                      t_end=t, seeds=64)
-        mc_ = modulus_estimate(coarse, t, (0.0, 1.0), 0.5)
-        mf_ = modulus_estimate(fine, t, (0.0, 1.0), 0.5)
+        coarse = rows_at(BM, U0, PAM, t, dt=0.01, nx=128, half_width=8.0,
+                         seeds=64)
+        fine = rows_at(BM, U0, PAM, t, dt=0.01, nx=256, half_width=8.0,
+                       seeds=64)
+        mc_ = modulus_estimate(*coarse, (0.0, 1.0), 0.5)
+        mf_ = modulus_estimate(*fine, (0.0, 1.0), 0.5)
         assert mf_.dx == pytest.approx(mc_.dx / 2.0)
         ratio = max(mf_.mean, mc_.mean) / min(mf_.mean, mc_.mean)
         assert ratio < 2.0
 
     def test_uniform_over_unit_intervals(self):
         # broad flat data, so all tested windows see comparable fields
-        reps = evolve(BM, box_measure(), PAM, dt=0.01, nx=416,
-                      half_width=13.0, t_end=0.5, seeds=32)
+        reps = rows_at(BM, box_measure(), PAM, 0.5, dt=0.01, nx=416,
+                       half_width=13.0, seeds=32)
         stats = np.array([
-            modulus_estimate(reps, 0.5, (float(j), float(j + 1)), 0.5).mean
+            modulus_estimate(*reps, (float(j), float(j + 1)), 0.5).mean
             for j in range(4)])
         assert stats.max() / np.median(stats) < 5.0
         assert stats.max() / stats.min() < 5.0
 
     def test_rejects_bad_inputs(self):
-        reps = evolve(BM, U0, SIG0, dt=0.01, nx=64, half_width=4.0,
-                      t_end=0.1, seeds=1)
+        rows, xs = rows_at(BM, U0, SIG0, 0.1, dt=0.01, nx=64, half_width=4.0,
+                           seeds=1)
         with pytest.raises(ValueError, match="replica"):
-            modulus_estimate([], 0.1, (0.0, 1.0), 0.5)
+            modulus_estimate(rows[:0], xs, (0.0, 1.0), 0.5)
         with pytest.raises(ValueError, match="eps"):
-            modulus_estimate(reps, 0.1, (0.0, 1.0), 1.5)
+            modulus_estimate(rows, xs, (0.0, 1.0), 1.5)
         with pytest.raises(ValueError, match="length"):
-            modulus_estimate(reps, 0.1, (1.0, 1.0), 0.5)
-        other = evolve(BM, U0, SIG0, dt=0.01, nx=32, half_width=2.0,
-                       t_end=0.1, seeds=1)
-        with pytest.raises(ValueError, match="share"):
-            modulus_estimate(reps + other, 0.1, (0.0, 1.0), 0.5)
-
-    def test_reads_a_real_time_row(self):
-        reps = evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
-                      t_end=0.1, seeds=2)
-        ref = modulus_estimate(reps, 0.05, (0.0, 1.0), 0.5)
-        assert modulus_estimate(reps, 0.05 * (1 + 1e-12), (0.0, 1.0),
-                                0.5) == ref
-        for t in (0.055, 0.2, 0.005):  # between rows, past the end, before
-            with pytest.raises(ValueError, match="time row"):
-                modulus_estimate(reps, t, (0.0, 1.0), 0.5)
-        # one step of 0.1: its only time row is 0.1
-        one = evolve(BM, U0, PAM, dt=0.1, nx=64, half_width=4.0, t_end=0.1,
-                     seeds=2)
-        with pytest.raises(ValueError, match="time row"):
-            modulus_estimate(one, 0.05, (0.0, 1.0), 0.5)
+            modulus_estimate(rows, xs, (1.0, 1.0), 0.5)
+        with pytest.raises(ValueError, match="fewer than two"):
+            modulus_estimate(rows, xs, (0.0, 0.1), 0.5)
 
 
 class TestNochaosSupScan:

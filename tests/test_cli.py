@@ -214,6 +214,15 @@ class TestConfigValidation:
         assert "$.kernel" in res.stderr and "alpha" in res.stderr
         assert len(res.stderr.splitlines()) == 1
 
+    def test_repeated_sigma_node_is_one_line(self, tmp_path):
+        # the tables are checked before any slope divides by a zero step
+        path, _ = small_config(tmp_path, sigma={
+            "kind": "custom", "table_x": [0, 0, 1], "table_y": [0, 0, 1]})
+        res = run_cli("run", str(path))
+        assert res.returncode == 64
+        assert "custom sigma table_x must be increasing" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+
     def test_uneven_grid_rejected(self, tmp_path):
         path, doc = small_config(tmp_path)
         doc["grid"]["dx"] = 0.3

@@ -3,6 +3,7 @@ importing the package leaves heavy optional subpackages unloaded, and the
 entry points above the quadrature layer take no tuning knobs."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -147,5 +148,9 @@ def test_no_batch_thread_budget_or_stray_spec_parameters():
                                                  "noise")
                       if p in params]
     assert knobs == []
-    for gone in ("QuadratureSpec", "NoiseLattice", "sample_noise"):
+    for gone in ("QuadratureSpec", "NoiseLattice", "sample_noise", "evolve",
+                 "FieldLattice", "MomentRow"):
         assert not hasattr(levyheat, gone)
+    # every per-seed field is an mc_moments snapshot array
+    assert "exterior_mass_frac" not in {
+        f.name for f in dataclasses.fields(levyheat.solver.Lattice)}

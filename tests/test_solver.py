@@ -14,14 +14,11 @@ from scipy.special import erf
 
 from levyheat import (
     AllocationLimit,
-    FieldLattice,
     FiniteMeasure,
     GridMismatch,
     HorizonExceeded,
-    SpaceTimeGrid,
     brownian,
     delta,
-    evolve,
     frak_T,
     heat_convolve_many,
     make_positive_definite_example,
@@ -46,7 +43,7 @@ from levyheat.solver import (BATCH, FFT_MIN_NX, MAX_CELLS, _det_rows,
                              _flat_second_moment, _fork_map, _propagators,
                              _shared_zeros, _toeplitz, _worker_count,
                              build_lattice, check_truncation, march,
-                             march_seeds, seed_ids, x_centers)
+                             march_seeds, scheme_error, seed_ids, x_centers)
 
 BM = brownian(1.0)
 U0 = delta()
@@ -73,6 +70,15 @@ def delta_closed_form(lam, t, x):
     return np.exp(-x ** 2 / t) / math.sqrt(math.pi * t) * h
 
 
+def march_rows(model, u0, sigma, *, dt, t_end, **lattice):
+    """The mc_moments table whose snapshots hold every path's rows at the
+    steps 1..t_end/dt, shape (seeds, steps, nx): the time-step fields."""
+    steps = round(t_end / dt)
+    return mc_moments(model, u0, sigma, dt=dt, t_end=t_end, t_probes=[],
+                      x_probes=[], ks=[],
+                      snapshot_times=dt * np.arange(1, steps + 1), **lattice)
+
+
 # more than two row chunks of steps, so shorter runs end on both sides of
 # a chunk boundary
 LONG_STEPS = 70
@@ -81,7 +87,8 @@ LONG_STEPS = 70
 @pytest.fixture(scope="module")
 def long_run():
     lattice = dict(dt=0.01, nx=128, half_width=8.0, seeds=[11])
-    return lattice, evolve(BM, U0, PAM, t_end=0.01 * LONG_STEPS, **lattice)[0]
+    return lattice, march_rows(BM, U0, PAM, t_end=0.01 * LONG_STEPS,
+                               **lattice).snapshots[0]
 
 
 # above FFT_MIN_NX, and 2 * 541 pads to the odd FFT length 1125
@@ -91,7 +98,8 @@ WIDE_NX = 541
 @pytest.fixture(scope="module")
 def wide_run():
     lattice = dict(dt=0.01, nx=WIDE_NX, half_width=WIDE_NX / 64, seeds=[11])
-    return lattice, evolve(BM, U0, PAM, t_end=0.01 * LONG_STEPS, **lattice)[0]
+    return lattice, march_rows(BM, U0, PAM, t_end=0.01 * LONG_STEPS,
+                               **lattice).snapshots[0]
 
 
 def dense_propagators(model, dt, dx, nx):
@@ -128,9 +136,8 @@ def folded_step(mats, ops):
 def assert_head_of_run(run, j0):
     """The j0-step run is the first j0 rows of the long one, bit for bit."""
     lattice, full = run
-    part, = evolve(BM, U0, PAM, t_end=0.01 * j0, **lattice)
-    assert np.array_equal(part.grid.t_nodes, full.grid.t_nodes[:j0])
-    assert np.array_equal(part.grid.values, full.grid.values[:j0])
+    part, = march_rows(BM, U0, PAM, t_end=0.01 * j0, **lattice).snapshots
+    assert np.array_equal(part, full[:j0])
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +155,9 @@ def mc_table():
 @pytest.fixture(scope="module")
 def picard_stack():
     """Center-cell values of Picard stages 0..4 at t = frak_T_2, 200 seeds."""
-    return np.array([[fld.grid.values[31, 64] for fld in picard_iterate(
+    return np.array([picard_iterate(
         BM, U0, PAM, n, dt=T2 / 32, nx=128, half_width=0.08, t_end=T2,
-        seeds=200)] for n in range(5)])
+        seeds=200)[:, 31, 64] for n in range(5)])
 
 
 class TestSigmaSpec:
@@ -195,30 +202,26 @@ class TestSigmaSpec:
             sigma_custom([1.0, 0.0], [1.0, 0.0])       # x not increasing
 
 
-class TestFieldLattice:
-    def test_picard_zero_stage_must_vanish(self):
-        grid = SpaceTimeGrid(np.array([0.1]), np.array([0.0, 1.0]),
-                             np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            FieldLattice(grid=grid, scheme="picard", seed=0,
-                         truncation_L=1.0, dt=0.1, picard_order=0)
-
-
 class TestEvolve:
+    """The time-step march, read through the every-step snapshots of
+    mc_moments (march_rows)."""
+
     def test_sigma_zero_is_deterministic(self, set_constant):
         # tight tol, as in TestBatchedRows: at the default tol each side
         # is ~1.1e-12 of its row max off the closed form
         set_constant("XI_TOL", 1e-13)
-        fld, = evolve(BM, U0, sigma_linear(0.0), dt=0.01, nx=64,
-                      half_width=4.0, t_end=0.2, seeds=[3])
+        tab = march_rows(BM, U0, sigma_linear(0.0), dt=0.01, nx=64,
+                         half_width=4.0, t_end=0.2, seeds=[3])
+        rows, = tab.snapshots
         lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=64, n_steps=20)
-        assert np.array_equal(fld.grid.values, lat.det[0])
+        assert np.array_equal(rows, lat.det[0])
         # the lattice's one rule against one rule per time
-        xs = fld.grid.x_nodes
-        for row, t in zip(fld.grid.values, fld.grid.t_nodes):
-            ref = np.maximum(heat_convolve_many(BM, U0, t, xs), 0.0)
+        xs = tab.lattice.x_nodes
+        for i, row in enumerate(rows):
+            ref = np.maximum(heat_convolve_many(BM, U0, 0.01 * (i + 1), xs),
+                             0.0)
             assert np.abs(row - ref).max() <= 1e-12 * ref.max()
-        assert positivity_scan(fld) == (0.0, 0)
+        assert positivity_scan(rows, scheme_error(tab.lattice)) == (0.0, 0)
 
     @pytest.mark.parametrize("j0", [1, 10, ROW_CHUNK - 1, ROW_CHUNK,
                                     ROW_CHUNK + 1, 2 * ROW_CHUNK,
@@ -245,8 +248,8 @@ class TestEvolve:
 
         def count(m):
             builds.clear()
-            evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
-                   t_end=0.01 * m, seeds=[5])
+            march_rows(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                       t_end=0.01 * m, seeds=[5])
             return len(builds)
 
         assert count(10) == count(40)
@@ -285,10 +288,9 @@ class TestEvolve:
         # linear sigma commutes with scaling by 2, exactly in floats
         lattice = dict(dt=0.01, nx=64, half_width=4.0, t_end=0.15,
                        seeds=[7, 8])
-        one = evolve(BM, delta(1.0), PAM, **lattice)
-        two = evolve(BM, delta(2.0), PAM, **lattice)
-        for a, b in zip(one, two):
-            assert np.array_equal(b.grid.values, 2.0 * a.grid.values)
+        one = march_rows(BM, delta(1.0), PAM, **lattice).snapshots
+        two = march_rows(BM, delta(2.0), PAM, **lattice).snapshots
+        assert np.array_equal(two, 2.0 * one)
 
     def test_first_noise_row_idle(self, monkeypatch):
         # noise row 0 would drive the step from the measure, which has no
@@ -301,8 +303,8 @@ class TestEvolve:
 
         monkeypatch.setattr(solver, "noise_rows", recorded)
         monkeypatch.setenv("LEVYHEAT_THREADS", "1")  # calls stay in sight
-        evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0, t_end=0.12,
-               seeds=range(BATCH + 1))
+        march_rows(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0, t_end=0.12,
+                   seeds=range(BATCH + 1))
         assert calls == [(1, 12), (1, 12)]  # one stream per seed chunk
         calls.clear()
         picard_iterate(BM, U0, PAM, 3, dt=T2 / 8, nx=32, half_width=0.08,
@@ -311,8 +313,8 @@ class TestEvolve:
 
     def test_refinement_warning(self):
         with pytest.warns(UserWarning, match="refinement"):
-            evolve(BM, U0, PAM, dt=1e-4, nx=16, half_width=0.8, t_end=1e-3,
-                   seeds=[0])
+            march_rows(BM, U0, PAM, dt=1e-4, nx=16, half_width=0.8,
+                       t_end=1e-3, seeds=[0])
 
 
 class TestPropagators:
@@ -410,18 +412,23 @@ SHORT = dict(dt=T2 / 8, nx=32, half_width=0.08, t_end=T2)
 
 class TestPicard:
     def test_order_zero_is_zero(self):
-        fld, = picard_iterate(BM, U0, PAM, 0, seeds=[1], **SHORT)
-        assert not fld.grid.values.any()
-        assert fld.picard_order == 0
+        assert not picard_iterate(BM, U0, PAM, 0, seeds=[1], **SHORT).any()
+
+    def test_stage_is_a_seed_by_step_array(self):
+        # one row block per seed, in the layout of mc_moments snapshots;
+        # a seed's block does not depend on the other seeds of the batch
+        vals = picard_iterate(BM, U0, PAM, 2, seeds=[4, 5, 6], **SHORT)
+        assert isinstance(vals, np.ndarray) and vals.shape == (3, 8, 32)
+        alone = picard_iterate(BM, U0, PAM, 2, seeds=[5], **SHORT)
+        assert np.array_equal(alone[0], vals[1])
 
     def test_sigma_zero_first_stage_exact(self):
-        fld, = picard_iterate(BM, U0, sigma_linear(0.0), 3, seeds=[1],
-                              **SHORT)
-        xs = fld.grid.x_nodes
-        for i, t in enumerate(fld.grid.t_nodes):
-            assert_allclose(fld.grid.values[i],
-                            np.maximum(heat_convolve_many(BM, U0, t, xs), 0.0),
-                            rtol=0, atol=1e-10)
+        vals, = picard_iterate(BM, U0, sigma_linear(0.0), 3, seeds=[1],
+                               **SHORT)
+        xs = x_centers(32, 0.005)
+        for i, row in enumerate(vals):
+            ref = heat_convolve_many(BM, U0, SHORT["dt"] * (i + 1), xs)
+            assert_allclose(row, np.maximum(ref, 0.0), rtol=0, atol=1e-10)
 
     def test_horizon_guard(self):
         over = dict(SHORT, t_end=10 * T2 / 8)  # 10 dt > T2
@@ -440,8 +447,8 @@ class TestPicard:
         # and the one-shot lag rows handle the window edge differently
         lattice = dict(dt=T2 / 32, nx=128, half_width=0.08, t_end=T2,
                        seeds=[3])
-        direct = evolve(BM, U0, PAM, **lattice)[0].grid.values
-        fixed = picard_iterate(BM, U0, PAM, 16, **lattice)[0].grid.values
+        direct = march_rows(BM, U0, PAM, **lattice).snapshots[0]
+        fixed = picard_iterate(BM, U0, PAM, 16, **lattice)[0]
         assert np.abs(fixed - direct).max() < 1e-6 * direct.max()
         mask = direct > 1e-3 * direct.max()
         assert np.abs(fixed[mask] / direct[mask] - 1.0).max() < 1e-6
@@ -583,22 +590,22 @@ class TestOracle:
 class TestMcMoments:
     def test_matches_scheme_exact_oracle(self, mc_table):
         tab, centers, orc = mc_table
-        for row in tab.rows():
-            if row.k != 2:
-                continue
-            it = int(round(row.t / 0.01)) - 1
-            ix = int(np.argmin(np.abs(centers - row.x)))
-            z = (row.raw_moment - orc.values[it, ix]) / row.raw_std_error
+        two = tab.k == 2
+        for t, x, raw, se in zip(tab.t[two], tab.x[two], tab.raw_moment[two],
+                                 tab.raw_std_error[two]):
+            it = int(round(t / 0.01)) - 1
+            ix = int(np.argmin(np.abs(centers - x)))
+            z = (raw - orc.values[it, ix]) / se
             assert abs(z) < 3.0
 
     def test_mean_identity(self, mc_table):
         # E u_t(x) = (p_t * u0)(x); k = 1 rows carry the signed mean
         tab, _, _ = mc_table
-        for row in tab.rows():
-            if row.k != 1:
-                continue
-            ref = float(heat_convolve_many(BM, U0, row.t, [row.x])[0])
-            assert abs(row.estimate - ref) < 3.0 * row.std_error
+        one = tab.k == 1
+        for t, x, est, se in zip(tab.t[one], tab.x[one], tab.estimate[one],
+                                 tab.std_error[one]):
+            ref = float(heat_convolve_many(BM, U0, t, [x])[0])
+            assert abs(est - ref) < 3.0 * se
 
     def test_table_invariants(self, mc_table):
         tab, centers, _ = mc_table
@@ -654,17 +661,35 @@ class TestMcMoments:
             assert np.array_equal(twice.snapshots[:, slot],
                                   once.snapshots[:, 0])
 
+    def test_snapshot_times_are_step_times(self):
+        # a snapshot holds a real time row: a time within roundoff of a
+        # step gets that step's row, any other time is refused
+        kw = dict(dt=0.01, nx=64, half_width=4.0, t_end=0.1, seeds=2,
+                  t_probes=[], x_probes=[], ks=[])
+        ref = mc_moments(BM, U0, PAM, snapshot_times=[0.05], **kw)
+        near = mc_moments(BM, U0, PAM, snapshot_times=[0.05 * (1 + 1e-12)],
+                          **kw)
+        assert np.array_equal(near.snapshots, ref.snapshots)
+        for t in (0.055, 0.005):  # between rows, before the first
+            with pytest.raises(ValueError, match="snapshot time"):
+                mc_moments(BM, U0, PAM, snapshot_times=[t], **kw)
+
     def test_snapshots_match_evolve_rows(self):
         tab = mc_moments(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
                          t_end=0.2, seeds=3, t_probes=[], x_probes=[], ks=[],
                          snapshot_times=[0.1, 0.2])
         assert tab.snapshots.shape == (3, 2, 128) and tab.t.size == 0
-        # both march the same seed chunk on the same lattice
-        flds = evolve(BM, U0, PAM, dt=0.01, nx=128, half_width=8.0,
-                      t_end=0.2, seeds=3)
-        for snaps, fld in zip(tab.snapshots, flds):
-            assert np.array_equal(tab.lattice.x_nodes, fld.grid.x_nodes)
-            assert np.array_equal(snaps, fld.grid.values[[9, 19]])
+        # the rows a march_seeds observer sees as the seeds evolve on the
+        # same lattice
+        lat = build_lattice(BM, U0, dt=0.01, dx=0.125, nx=128, n_steps=20)
+        assert np.array_equal(tab.lattice.x_nodes, lat.x_nodes)
+        rows = _shared_zeros((3, 20, 128))
+
+        def keep(first, j, u):
+            rows[first:first + u.shape[0], j] = u[:, 0]
+
+        march_seeds(lat, PAM, range(3), keep)
+        assert np.array_equal(tab.snapshots, rows[:, [9, 19]])
 
 
 def wait_for(cond, timeout=10.0):
@@ -814,11 +839,8 @@ class TestSeedsAndBudget:
             monkeypatch.setattr(solver, name, forbidden)
         monkeypatch.setattr(os, "fork", forbidden)
         nx, seeds = 1 << 10, 1 << 10
-        # 65 steps: one step past 2^26 cells of fields or snapshots
+        # 65 steps: one step past 2^26 cells of snapshots
         assert seeds * 64 * nx == MAX_CELLS
-        with pytest.raises(AllocationLimit):
-            evolve(BM, U0, PAM, dt=0.01, nx=nx, half_width=8.0, t_end=0.65,
-                   seeds=seeds)
         with pytest.raises(AllocationLimit):
             mc_moments(BM, U0, PAM, dt=0.01, nx=nx, half_width=8.0,
                        t_end=0.65, seeds=seeds, t_probes=[], x_probes=[],
@@ -826,6 +848,31 @@ class TestSeedsAndBudget:
         with pytest.raises(AllocationLimit):
             picard_iterate(BM, U0, PAM, 1, dt=T2 / 8, nx=nx, half_width=8.0,
                            t_end=T2, seeds=2 * seeds)
+
+
+    def test_det_rows_within_the_budget(self, monkeypatch):
+        # 1 start x 20 steps x 64 cells of det rows for mc_moments, and
+        # 2 starts of them for stability_compare
+        ensembles = [
+            lambda: mc_moments(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                               t_end=0.2, seeds=1, t_probes=[0.2],
+                               x_probes=[0.0]),
+            lambda: stability_compare(BM, U0, PAM, [0.1], 1.21, 1,
+                                      t_max=0.2, dt=0.01, nx=64,
+                                      half_width=4.0)]
+        monkeypatch.setattr(solver, "MAX_CELLS", 2 * 20 * 64)
+        for run in ensembles:
+            run()
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("det rows began before the budget check")
+
+        for name in ("check_truncation", "_det_rows", "_propagators"):
+            monkeypatch.setattr(solver, name, forbidden)
+        for cells, run in zip((20 * 64 - 1, 2 * 20 * 64 - 1), ensembles):
+            monkeypatch.setattr(solver, "MAX_CELLS", cells)
+            with pytest.raises(AllocationLimit, match="deterministic rows"):
+                run()
 
 
 class TestStability:
@@ -884,22 +931,16 @@ class TestStability:
 
 class TestPositivity:
     def test_pam_violations_rare(self):
-        flds = evolve(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
-                      t_end=0.3, seeds=60)
-        below = sum(positivity_scan(fld)[1] for fld in flds)
-        assert below / (60 * flds[0].grid.values.size) < 0.01
+        tab = march_rows(BM, U0, PAM, dt=0.01, nx=64, half_width=4.0,
+                         t_end=0.3, seeds=60)
+        below = positivity_scan(tab.snapshots, scheme_error(tab.lattice))[1]
+        assert below / tab.snapshots.size < 0.01
 
     def test_refinement_does_not_worsen(self):
         def count(dt, nt):
-            return sum(positivity_scan(fld)[1] for fld in evolve(
-                BM, U0, PAM, dt=dt, nx=64, half_width=4.0, t_end=dt * nt,
-                seeds=30))
+            tab = march_rows(BM, U0, PAM, dt=dt, nx=64, half_width=4.0,
+                             t_end=dt * nt, seeds=30)
+            return positivity_scan(tab.snapshots,
+                                   scheme_error(tab.lattice))[1]
 
         assert count(0.01, 30) <= count(0.02, 15)
-
-    def test_needs_a_yardstick(self):
-        fld, = picard_iterate(BM, U0, PAM, 2, seeds=[1], **SHORT)
-        with pytest.raises(ValueError):
-            positivity_scan(fld)
-        mn, cnt = positivity_scan(fld, eps_num=1e-9)
-        assert cnt >= 0 and math.isfinite(mn)
