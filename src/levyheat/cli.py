@@ -18,9 +18,9 @@ thread count): seeds are explicit in the config, ensemble reductions are
 in fixed chunk order, floats are written with shortest round-trip repr,
 and the manifest carries no timestamps.  All file writes happen
 sequentially in the main process; only the replica marches inside the
-solver fan out, over the main process and forked workers (LEVYHEAT_THREADS
-in all, the main process included), which return their sums through
-shared memory.
+solver fan out, over LEVYHEAT_THREADS forked workers while the main
+process waits (with one, the main process marches them itself), and the
+workers return their sums through shared memory.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ Conventions shared by every marching routine here:
   measure data.  Row i depends on the lattice and i alone, so a shorter
   run is the head of a longer one, bit for bit;
 * the one-step propagators P and K0 are symmetric Toeplitz.  Below
-  ``FFT_MIN_NX`` cells they are dense nx x nx matrices applied by BLAS;
+  ``FFT_MIN_NX`` cells BLAS applies them as folded half-size blocks;
   from ``FFT_MIN_NX`` on they are held as the rfft spectra of their
   circulant embeddings and a step costs O(nx log nx) per row instead of
   O(nx^2).  ``build_lattice`` makes the choice, so every march on one
@@ -43,6 +43,7 @@ Conventions shared by every marching routine here:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
@@ -275,20 +276,15 @@ def _circulant_spectra(rows: np.ndarray, n: int) -> np.ndarray:
     return rfft(cols, axis=-1)
 
 
-def _toeplitz(r: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix T[a, b] = r[|a - b|]."""
-    lag = np.arange(r.size)
-    return r[np.abs(lag[:, None] - lag)]
-
-
-def _fold(mat: np.ndarray, n: int, h: int, sign: float) -> np.ndarray:
-    """The n x n block of the centrosymmetric mat (J mat J = mat, J the
-    reversal) that acts on folded rows: its first h rows become
-    (mat[i] + sign mat[-1-i]) / 2.  sign +1 gives the even block
-    (n = nx - h, so the centre row of odd nx stays as it is), -1 the odd
-    block (n = h)."""
-    out = mat[:n, :n].copy()
-    out[:h] = 0.5 * (out[:h] + sign * mat[::-1, :n][:h])
+def _fold_rows(r: np.ndarray, n: int, h: int, sign: float) -> np.ndarray:
+    """The n x n block, acting on folded rows, of the centrosymmetric
+    T[a, b] = r[|a - b|], nx = r.size: E[i, j] = r[|i - j|], and for
+    i < h, (r[|i - j|] + sign r[nx - 1 - i - j]) / 2.  sign +1 gives the
+    even block (n = nx - h: the centre row of odd nx stays as it is), -1
+    the odd block (n = h)."""
+    lag = np.arange(n)
+    out = r[np.abs(lag[:, None] - lag)]
+    out[:h] = 0.5 * (out[:h] + sign * r[r.size - 1 - lag[:h, None] - lag])
     return out
 
 
@@ -305,7 +301,7 @@ def _propagators(model, dt, dx, nx):
     x[i] + x[nx-1-i] (the centre cell of odd nx as it is) and its odd
     part x[i] - x[nx-1-i], i < nx // 2.  Symmetric Toeplitz matrices are
     centrosymmetric, so each part maps onto itself through a half-size
-    block (_fold): one BLAS product per part against the stacked [P; K0]
+    block (_fold_rows): one BLAS product per part against the stacked [P; K0]
     blocks, then an unfold, at half the flops of v P + shot K0 (Cantoni &
     Butler, Linear Algebra Appl. 13, 1976).  From FFT_MIN_NX on only the
     numpy.fft rfft spectra of the circulant embeddings, of length
@@ -318,9 +314,9 @@ def _propagators(model, dt, dx, nx):
     if nx < FFT_MIN_NX:
         h = nx // 2
         m = nx - h
-        mats = (dx * _toeplitz(rows[1]), _toeplitz(avg0))
-        even = np.concatenate([_fold(a, m, h, 1.0) for a in mats])
-        odd = np.concatenate([_fold(a, h, h, -1.0) for a in mats])
+        kernels = (dx * rows[1], avg0)
+        even = np.concatenate([_fold_rows(r, m, h, 1.0) for r in kernels])
+        odd = np.concatenate([_fold_rows(r, h, h, -1.0) for r in kernels])
 
         def step(v, shot=None):
             ops = (v,) if shot is None else (v, shot)
@@ -415,8 +411,8 @@ class Lattice:
     deterministic rows det[s, i] = (p_t * u0), clamped at 0, at
     t = (i + 1) dt + s-th shift (the rows of the start p_shift * u0; see
     _det_rows) and the one-step apply step(v, shot) = v P + shot K0 of the
-    noise part, with P and K0 held as dense matrices below FFT_MIN_NX cells
-    and as circulant FFT spectra from FFT_MIN_NX on (see _propagators)."""
+    noise part: P and K0 as folded dense blocks below FFT_MIN_NX cells,
+    as circulant FFT spectra from FFT_MIN_NX on (see _propagators)."""
 
     dt: float
     dx: float
@@ -476,8 +472,8 @@ def march(lat: Lattice, sigma: SigmaSpec, stream, observe, *,
 
 
 def _worker_count() -> int:
-    """Processes for the seed chunks, the caller included: LEVYHEAT_THREADS
-    if set, else min(8, CPUs this process may run on); 1 without os.fork."""
+    """Processes that march the seed chunks, forked ones unless just one:
+    LEVYHEAT_THREADS if set, else min(8, usable CPUs); 1 without os.fork."""
     env = os.environ.get("LEVYHEAT_THREADS")
     if env:
         try:
@@ -518,36 +514,37 @@ def _pickled_error(exc: BaseException) -> bytes:
 
 
 def _fork_map(fn, chunks, workers) -> None:
-    """fn(c) for every c in chunks, chunk i in worker i mod w of
-    w = min(workers, len(chunks)); worker 0 is the caller and the others
-    are forked children, so each has its own interpreter lock.
+    """fn(c) for every c in chunks.  With w = min(workers, len(chunks))
+    of 1 the caller runs them all; else chunk i runs in forked child
+    i mod w, each with its own interpreter lock, and the caller only
+    waits, so it never holds what fn builds.
 
     A child shares with its caller only what lives in anonymous shared
     memory (_shared_zeros), so fn reports through such arrays; what it
-    returns is dropped.  A child leaves only through os._exit.  Once a
-    chunk raises, it sets the shared stop flag and no worker starts
-    another chunk.  Every child is reaped before the map returns or
-    raises; then the caller's own error is raised, else the first failed
-    child's, unpickled with its type and message.
+    returns is dropped, and it leaves only through os._exit.  Once a
+    chunk raises, or the caller does while it waits (an interrupt, say),
+    the shared stop flag is set and no child starts another chunk.  Every
+    child is reaped before the map returns or raises the caller's error,
+    else the first failed child's, unpickled with its type and message.
     """
     w = min(workers, len(chunks))
-    room = 8 + _ERROR_ROOM  # per worker: the error's length, then its bytes
+    if w < 2:
+        for c in chunks:
+            fn(c)
+        return
+    room = 8 + _ERROR_ROOM  # per child: the error's length, then its bytes
     box = mmap.mmap(-1, 1 + w * room)  # byte 0 is the stop flag
-
-    def run(r):
-        for i in range(r, len(chunks), w):
-            if box[0]:
-                return
-            fn(chunks[i])
-
-    pids = []
+    pids, codes = [], []
     try:
-        for r in range(1, w):
+        for r in range(w):
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    run(r)
+                    for i in range(r, len(chunks), w):
+                        if box[0]:
+                            break
+                        fn(chunks[i])
                     code = 0
                 except BaseException as exc:
                     box[0] = 1
@@ -557,14 +554,17 @@ def _fork_map(fn, chunks, workers) -> None:
                     box[at:at + 8] = len(data).to_bytes(8, "little")
                 finally:
                     os._exit(code)
-            pids.append((r, pid))
-        run(0)
+            pids.append(pid)
+        for pid in pids:
+            codes.append(os.waitpid(pid, 0)[1])
     except BaseException:
         box[0] = 1
+        for pid in pids[len(codes):]:
+            # the exception may fall between a wait and its record
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
         raise
-    finally:
-        failed = [r for r, pid in pids if os.waitpid(pid, 0)[1]]
-    for r in failed:
+    for r in (r for r, code in enumerate(codes) if code):
         at = 1 + r * room
         size = int.from_bytes(box[at:at + 8], "little")
         if size:
@@ -592,7 +592,7 @@ def seed_ids(seeds) -> list[int]:
 
 def march_seeds(lat: Lattice, sigma: SigmaSpec, seeds, observe) -> None:
     """march() every seed, BATCH seeds per chunk, the chunks over
-    _worker_count() processes, the caller among them (_fork_map).
+    _worker_count() forked workers, or in the caller for one (_fork_map).
 
     observe(first, j, u) is march's observer, also told the position
     in seeds of the chunk's first seed.  Chunks run concurrently in

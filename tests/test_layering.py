@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import levyheat
 
 PACKAGE = Path(levyheat.__file__).resolve().parent
@@ -74,7 +76,7 @@ def test_import_leaves_scipy_signal_out():
 # email), the config validator, hashlib (which the manifest writer uses and
 # numpy.random loads for any ensemble) and numpy.ma (which np.unique
 # imports).  Neither concurrent nor multiprocessing loads anywhere: a
-# multi-chunk ensemble marches in the calling process and workers it
+# multi-chunk ensemble marches only in workers that the calling process
 # forks with os.fork, which write into anonymous mmaps.
 LAYERS = ("cli", "analysis", "solver", "conv_calculus", "levy_kernel",
           "measure_init", "noise_field")
@@ -110,6 +112,24 @@ print(json.dumps([after_import, after_oracle,
     assert after_oracle["deferred"] == []
     # two chunks over two processes, and still no pool
     assert after_ensemble["deferred"] == []
+
+
+@pytest.mark.parametrize("threads, loaded", [("2", False), ("1", True)])
+def test_ensemble_caller_marches_only_without_workers(threads, loaded):
+    # numpy.random (which imports _hashlib) loads where a chunk marches:
+    # in the forked workers, or in the caller when it is the one worker
+    code = """
+import json, sys, levyheat
+levyheat.mc_moments(
+    levyheat.brownian(1.0), levyheat.delta(), levyheat.sigma_linear(1.0),
+    dt=0.02, nx=64, half_width=4.0, t_end=0.1,
+    seeds=2 * levyheat.solver.BATCH, t_probes=[0.1], x_probes=[0.0])
+print(json.dumps([m in sys.modules for m in ("numpy.random", "_hashlib")]))
+"""
+    env = dict(package_env(), LEVYHEAT_THREADS=threads)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [loaded, loaded]
 
 
 def test_all_lists_each_imported_name_once():

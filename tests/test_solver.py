@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -41,7 +42,7 @@ from levyheat.noise_field import noise_rows
 from levyheat.solver import (BATCH, FFT_MIN_NX, MAX_CELLS, _det_rows,
                              _deterministic_distance_time,
                              _flat_second_moment, _fork_map, _propagators,
-                             _shared_zeros, _toeplitz, _worker_count,
+                             _shared_zeros, _worker_count,
                              build_lattice, check_truncation, march,
                              march_seeds, scheme_error, seed_ids, x_centers)
 
@@ -374,10 +375,6 @@ class TestPropagators:
             assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps
                           * scale)
 
-    def test_toeplitz_is_scipy_toeplitz(self):
-        r = np.random.default_rng(4).standard_normal(FFT_MIN_NX - 1)
-        assert np.array_equal(_toeplitz(r), toeplitz(r))
-
     def test_no_square_array_above_threshold(self):
         nx = 2048
         tracemalloc.start()
@@ -708,9 +705,9 @@ class Unpicklable(Exception):
 
 
 class TestForkMap:
-    """solver._fork_map: chunk i runs in worker i mod w, worker 0 being the
-    caller and the others forked children, which report through shared
-    memory and are all reaped whatever happens."""
+    """solver._fork_map: with w >= 2 workers chunk i runs in forked child
+    i mod w while the caller only waits; the children report through
+    shared memory and are all reaped whatever happens."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -730,9 +727,9 @@ class TestForkMap:
         w = min(workers, chunks)
         assert runs.tolist() == [1.0] * chunks
         by_worker = [{pids[i] for i in range(r, chunks, w)} for r in range(w)]
-        assert by_worker[0] == {os.getpid()}
         assert all(len(p) == 1 for p in by_worker)
-        assert len(set.union(*by_worker)) == w
+        children = set.union(*by_worker)
+        assert len(children) == w and os.getpid() not in children
 
     def test_ensembles_bit_identical_at_1_2_and_3_workers(self, monkeypatch):
         # 3 BATCH + 5 seeds: four chunks, so three workers share them
@@ -761,7 +758,8 @@ class TestForkMap:
     def test_error_reaches_the_caller_and_stops_the_map(self, where):
         # the failing chunk raises once the other worker's chunk has
         # started; the other chunk then outlasts the stop flag, after
-        # which no worker takes a chunk
+        # which no worker takes a chunk.  "caller" fails in worker 0 and
+        # "child" in worker 1; both are forked children
         bad, good = (1, 0) if where == "child" else (0, 1)
         started = _shared_zeros((6,))
 
@@ -775,6 +773,32 @@ class TestForkMap:
 
         with pytest.raises(ValueError, match=f"chunk {bad} in the {where}"):
             _fork_map(fn, range(6), 2)
+        assert started.tolist() == [1, 1, 0, 0, 0, 0]
+
+    def test_interrupted_wait_stops_and_reaps_every_child(self):
+        # the caller spends the map in os.waitpid; an exception that a
+        # signal handler raises there sets the stop flag, and both
+        # children are reaped (after their first chunk) before it escapes
+        class Stop(Exception):
+            pass
+
+        def alarm(signum, frame):
+            raise Stop
+
+        started = _shared_zeros((6,))
+
+        def fn(c):
+            started[c] = 1
+            time.sleep(0.5)
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                _fork_map(fn, range(6), 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert started.tolist() == [1, 1, 0, 0, 0, 0]
 
     def test_unpicklable_child_error_keeps_its_message(self):
